@@ -13,10 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import exact_diagram
 from .errors import DiagnosticError, ShapeError
-from .invariants import InvariantIndex, check_invariant, enumerate_invariants, nbar
-from .quiver import DimVector, QuiverA, sinks_sources
+from .invariants import InvariantIndex, _walk, check_invariant, enumerate_invariants
+from .quiver import DimVector, QuiverA
 
 
 @dataclass(frozen=True)
@@ -143,27 +142,10 @@ def b_one_variable(q: QuiverA, n: DimVector, idx: InvariantIndex) -> FactoredBFu
     """Closed product formula for the b-function of f_{(p,q)}.
 
     Walking t = p+1..q, each column contributes factors
-    (s + n_t - L + lambda) for lambda = 1..L, where the level L starts at
-    n_p and is replaced by n_v - L each time the walk passes an interior
-    sink or source v.
+    (s + n_t - L + lambda) for lambda = 1..L, where L is the walk's level
+    into column t: the product over the F-set of the exact diagram.
     """
-    check_invariant(q, n, idx)
-    nu = sinks_sources(q)
-    constants = Counter()
-
-    def segment(t_from: int, t_to: int, level: int) -> None:
-        for t in range(t_from, t_to + 1):
-            for lam in range(1, level + 1):
-                constants[n.at(t) - level + lam] += 1
-
-    if idx.beta == idx.alpha - 1:
-        segment(idx.p + 1, idx.q, n.at(idx.p))
-    else:
-        segment(idx.p + 1, nu[idx.alpha], n.at(idx.p))
-        for kappa in range(idx.beta - idx.alpha):
-            segment(nu[idx.alpha + kappa] + 1, nu[idx.alpha + kappa + 1], nbar(q, n, idx, kappa))
-        segment(nu[idx.beta] + 1, idx.q, nbar(q, n, idx, idx.beta - idx.alpha))
-    return FactoredBFunction.one_variable(constants)
+    return b_from_fset(fset_of_invariant(q, n, idx))
 
 
 @dataclass(frozen=True)
@@ -205,15 +187,14 @@ def f_set(N) -> FSet:
 def fset_of_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> FSet:
     """F-set of the exact diagram of (p, q).
 
-    The adjacent rank N_{k-1,k} of a diagram point equals its connection
-    count on edge k-1, since the edge matrix is a partial permutation.
+    Column t = p+1..q carries {n_t - c + 1, ..., n_t} for the walk's
+    level c into t: the diagram has c connections on edge t-1, and the
+    adjacent rank of a diagram point is its connection count.
     """
-    d = exact_diagram(q, n, idx)
-    counts = d.edge_counts()
-    ranges = []
-    for k in range(2, q.r + 1):
-        c = counts[k - 2]
-        ranges.append(None if c == 0 else (n.at(k) - c + 1, n.at(k)))
+    check_invariant(q, n, idx)
+    ranges = [None] * (q.r - 1)
+    for t, c in _walk(q, n, idx.p):
+        ranges[t - 2] = (n.at(t) - c + 1, n.at(t))
     return FSet(q.r, tuple(ranges))
 
 
@@ -226,17 +207,18 @@ def b_from_fset(fs: FSet) -> FactoredBFunction:
     return FactoredBFunction.one_variable(constants)
 
 
-def superpose(fsets, labels=None) -> tuple[LinearForm, ...]:
+def merge_columns(fsets, labels=None):
     """Merge the columns of several F-sets into multi-variable linear forms.
 
-    At each column, forms with equal constant term are combined by
-    summing their label variables; empty columns are ignored.  Returns
-    the concatenation over columns k = 2..r, each column's forms ordered
-    by constant term.
+    Yields (k, form) for columns k = 2..r, each column's forms ordered by
+    constant term.  At each column, forms with equal constant term are
+    combined by summing their label variables; empty columns are ignored.
+    On edge k-1 of a diagram a constant names exactly one arrow, so this
+    is also the merge of the F-sets' exact diagrams arrow by arrow.
     """
     fsets = tuple(fsets)
     if not fsets:
-        return ()
+        return
     r = fsets[0].r
     if any(fs.r != r for fs in fsets):
         raise ShapeError("all F-sets must share the column count")
@@ -246,7 +228,6 @@ def superpose(fsets, labels=None) -> tuple[LinearForm, ...]:
     if len(labels) != len(fsets):
         raise ShapeError("need one label per F-set")
     num_labels = max(labels)
-    out = []
     for k in range(2, r + 1):
         by_constant = {}
         for fs, label in zip(fsets, labels):
@@ -260,8 +241,17 @@ def superpose(fsets, labels=None) -> tuple[LinearForm, ...]:
                         f"label {label} contributes twice to constant {c} at column {k}"
                     )
                 coeffs[label - 1] = 1
-            out.append(LinearForm(tuple(coeffs), c))
-    return tuple(out)
+            yield k, LinearForm(tuple(coeffs), c)
+
+
+def superpose(fsets, labels=None) -> tuple[LinearForm, ...]:
+    """The merged forms of merge_columns, concatenated over columns."""
+    return tuple(form for _, form in merge_columns(fsets, labels))
+
+
+def invariant_fsets(q: QuiverA, n: DimVector) -> list[FSet]:
+    """F-sets of all invariants, in label order (sorted (p, q))."""
+    return [fset_of_invariant(q, n, idx) for idx in enumerate_invariants(q, n)]
 
 
 def b_multivariate(q: QuiverA, n: DimVector) -> FactoredBFunction:
@@ -270,12 +260,8 @@ def b_multivariate(q: QuiverA, n: DimVector) -> FactoredBFunction:
     Labels are assigned in sorted (p, q) order.  With no invariants the
     result is the empty product.
     """
-    invariants = enumerate_invariants(q, n)
-    if not invariants:
-        return FactoredBFunction(0, ())
-    fsets = [fset_of_invariant(q, n, idx) for idx in invariants]
-    counts = Counter(superpose(fsets))
-    return FactoredBFunction.from_counter(len(invariants), counts)
+    fsets = invariant_fsets(q, n)
+    return FactoredBFunction.from_counter(len(fsets), Counter(superpose(fsets)))
 
 
 @dataclass(frozen=True)
@@ -290,12 +276,6 @@ class AFunction:
 
     num_labels: int
     factors: tuple  # ((LinearForm with constant 0, e_S), ...)
-
-    def exponent_of(self, form: LinearForm, m) -> int:
-        for f, e in self.factors:
-            if f == form:
-                return e * sum(m[i - 1] for i in f.support)
-        return 0
 
     def monomial(self, m) -> tuple:
         """((form, exponent), ...) for integer bracket lengths m."""
@@ -314,19 +294,8 @@ class AFunction:
 
 
 def a_function(q: QuiverA, n: DimVector) -> AFunction:
-    """Group the connections of all exact diagrams by shared support."""
-    invariants = enumerate_invariants(q, n)
-    l = len(invariants)
-    usage = {}
-    for label, idx in enumerate(invariants, start=1):
-        d = exact_diagram(q, n, idx)
-        for a in q.edges():
-            for pair in d.edge(a):
-                usage.setdefault((a, pair), set()).add(label)
-    support_counts = Counter(frozenset(s) for s in usage.values())
-    factors = []
-    for support in support_counts:
-        coeffs = tuple(1 if i in support else 0 for i in range(1, l + 1))
-        factors.append((LinearForm(coeffs, 0), support_counts[support]))
-    factors.sort(key=lambda fe: fe[0].sort_key())
-    return AFunction(l, tuple(factors))
+    """Count the superposed forms by support: one per arrow of the union of exact diagrams."""
+    fsets = invariant_fsets(q, n)
+    counts = Counter(LinearForm(form.coeffs, 0) for form in superpose(fsets))
+    factors = tuple((form, counts[form]) for form in sorted(counts, key=LinearForm.sort_key))
+    return AFunction(len(fsets), factors)

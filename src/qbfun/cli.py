@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse errors,
-3 mathematical errors (e.g. a pair that labels no invariant),
-4 oracle budget exceeded.
+Exit codes: 0 success, 1 verification failure, 2 parse and input errors
+(including a --pq or --dims that does not fit the quiver), 3 mathematical
+errors (e.g. a pair that labels no invariant), 4 oracle budget exceeded,
+5 a file could not be written.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .bfun import a_function, b_multivariate, b_one_variable
-from .diagrams import complete_diagram, exact_diagram
+from .bfun import a_function, b_multivariate, b_one_variable, f_set
+from .diagrams import complete_diagram, diagram_to_matrices, exact_diagram
 from .errors import (
     BudgetExceededError,
     DiagnosticError,
@@ -47,8 +48,6 @@ from .ranks import (
     restricted_invariant_shape,
     slice_representation,
 )
-from .bfun import f_set
-from .diagrams import diagram_to_matrices
 from .render import LabeledDiagram, render_ascii, render_svg, superposed_diagram, labeled_exact_diagram
 
 
@@ -102,30 +101,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _instance(args):
+    """Quiver, dimension vector and the --pq index (None without one), validated as input."""
+    q = parse_quiver(args.quiver)
+    n = parse_dims(args.dims)
+    if len(n) != q.r:
+        raise QuiverParseError(f"--dims has {len(n)} entries for a quiver with {q.r} vertices")
+    if getattr(args, "pq", None) is None:
+        return q, n, None
+    p, qq = parse_pq(args.pq)
+    if not 1 <= p < qq <= q.r:
+        raise QuiverParseError(f"--pq needs 1 <= p < q <= {q.r}, got {p},{qq}")
+    return q, n, invariant_index(q, p, qq)
+
+
 def _emit(args, data, text):
     print(text if args.format == "text" else json.dumps(data, indent=2))
 
 
 def _cmd_invariants(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
+    q, n, _ = _instance(args)
     pairs = [[idx.p, idx.q] for idx in enumerate_invariants(q, n)]
     _emit(args, pairs, "\n".join(f"{p},{qq}" for p, qq in pairs) if pairs else "(none)")
     return 0
 
 
 def _cmd_bfun(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
-    p, qq = parse_pq(args.pq)
-    b = b_one_variable(q, n, invariant_index(q, p, qq))
-    _emit(args, {"pq": [p, qq], "b": bfun_to_json(b)}, format_bfun_text(b))
+    q, n, idx = _instance(args)
+    b = b_one_variable(q, n, idx)
+    _emit(args, {"pq": [idx.p, idx.q], "b": bfun_to_json(b)}, format_bfun_text(b))
     return 0
 
 
 def _cmd_bfun_multi(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
+    q, n, _ = _instance(args)
     labels = [[idx.p, idx.q] for idx in enumerate_invariants(q, n)]
     b = b_multivariate(q, n)
     _emit(args, {"labels": labels, "b": bfun_to_json(b)}, format_bfun_text(b))
@@ -133,8 +142,7 @@ def _cmd_bfun_multi(args):
 
 
 def _cmd_afun(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
+    q, n, _ = _instance(args)
     labels = [[idx.p, idx.q] for idx in enumerate_invariants(q, n)]
     a = a_function(q, n)
     _emit(args, {"labels": labels, "a": afun_to_json(a)}, format_afun_text(a))
@@ -142,15 +150,13 @@ def _cmd_afun(args):
 
 
 def _cmd_diagram(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
+    q, n, idx = _instance(args)
     if args.complete:
         ld = LabeledDiagram(q, complete_diagram(q, n))
     elif args.superposed:
         ld = superposed_diagram(q, n)
     else:
-        p, qq = parse_pq(args.pq)
-        ld = labeled_exact_diagram(q, n, invariant_index(q, p, qq))
+        ld = labeled_exact_diagram(q, n, idx)
     if args.render == "json":
         output = json.dumps(diagram_to_json(ld.diagram), indent=2)
     elif args.render == "ascii":
@@ -166,23 +172,17 @@ def _cmd_diagram(args):
 
 
 def _cmd_ranks(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
-    p, qq = parse_pq(args.pq)
-    idx = invariant_index(q, p, qq)
+    q, n, idx = _instance(args)
     N = rank_parameter(q, n, diagram_to_matrices(q, n, exact_diagram(q, n, idx)))
     fs = f_set(N)
-    data = {"pq": [p, qq], "rank_parameter": rank_to_json(N), "fset": fset_to_json(fs)}
+    data = {"pq": [idx.p, idx.q], "rank_parameter": rank_to_json(N), "fset": fset_to_json(fs)}
     lines = ["  ".join(str(x) for x in row) for row in N.rows]
     _emit(args, data, "\n".join(lines))
     return 0
 
 
 def _cmd_slice(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
-    p, qq = parse_pq(args.pq)
-    idx = invariant_index(q, p, qq)
+    q, n, idx = _instance(args)
     srep = slice_representation(q, n, idx)
     restrictions = []
     for other in enumerate_invariants(q, n):
@@ -196,7 +196,7 @@ def _cmd_slice(args):
                 b=bfun_to_json(shape.local_b()),
             )
         restrictions.append(item)
-    data = {"pq": [p, qq], "slice": slice_to_json(srep), "restrictions": restrictions}
+    data = {"pq": [idx.p, idx.q], "slice": slice_to_json(srep), "restrictions": restrictions}
     group = " x ".join(f"GL({m})" for m in srep.group_factors())
     w = " + ".join(f"M({a},{b})" for a, b in srep.w_summands())
     _emit(args, data, f"{group}\nW = {w if w else '0'}")
@@ -204,14 +204,9 @@ def _cmd_slice(args):
 
 
 def _cmd_verify(args):
-    q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
+    q, n, idx = _instance(args)
     budget = Budget.parse(args.budget) if args.budget else Budget.from_env()
-    if args.pq:
-        p, qq = parse_pq(args.pq)
-        targets = [invariant_index(q, p, qq)]
-    else:
-        targets = list(enumerate_invariants(q, n))
+    targets = [idx] if idx is not None else enumerate_invariants(q, n)
     checks = []
     for idx in targets:
         engine = b_one_variable(q, n, idx)
@@ -261,6 +256,18 @@ _COMMANDS = {
 }
 
 
+# Exit code of each error class, mirrored in the README.
+_EXIT_CODES = {
+    QuiverParseError: 2,
+    NotAnInvariantError: 3,
+    ShapeError: 3,
+    DiagnosticError: 3,
+    OracleIdentityError: 3,
+    BudgetExceededError: 4,
+    OSError: 5,
+}
+
+
 def cli_main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -269,15 +276,9 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
-    except QuiverParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (NotAnInvariantError, ShapeError, DiagnosticError, OracleIdentityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 def main() -> None:

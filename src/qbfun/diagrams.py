@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .invariants import InvariantIndex, MatrixRep, check_invariant
+from .invariants import InvariantIndex, MatrixRep, _walk, check_invariant
 from .quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
 
 
@@ -66,6 +66,25 @@ def empty_diagram(q: QuiverA, n) -> LaceDiagram:
     return LaceDiagram(cols, tuple(frozenset() for _ in q.edges()))
 
 
+def arrow(q: QuiverA, n: DimVector, a: int, c: int) -> tuple[int, int]:
+    """The arrow on edge a that carries the column-(a+1) constant c.
+
+    A bundle of L arrows on edge a carries the constants
+    n_{a+1}-L+1..n_{a+1}, one each.  On a rightward edge the bundle sits
+    at the bottom with constants increasing downwards; on a leftward edge
+    it sits at the top with constants increasing upwards.
+    """
+    if q.delta(a) == RIGHT:
+        b = n.at(a + 1) - c + 1
+        return (b, b)
+    return (n.at(a) - n.at(a + 1) + c, c)
+
+
+def _bundle(q: QuiverA, n: DimVector, a: int, size: int) -> frozenset:
+    top = n.at(a + 1)
+    return frozenset(arrow(q, n, a, c) for c in range(top - size + 1, top + 1))
+
+
 def complete_diagram(q: QuiverA, n: DimVector) -> LaceDiagram:
     """All possible height-preserving connections on every edge.
 
@@ -73,44 +92,21 @@ def complete_diagram(q: QuiverA, n: DimVector) -> LaceDiagram:
     vanishes on it.
     """
     check_dims(q, n)
-    cols = _columns(n)
-    conns = []
-    for a in q.edges():
-        na, nb = cols[a - 1], cols[a]
-        c = min(na, nb)
-        if q.delta(a) == RIGHT:
-            pairs = {(b, b) for b in range(1, c + 1)}
-        else:
-            pairs = {(na - t + 1, nb - t + 1) for t in range(1, c + 1)}
-        conns.append(frozenset(pairs))
-    return LaceDiagram(cols, tuple(conns))
+    return LaceDiagram(_columns(n), tuple(_bundle(q, n, a, min(n.at(a), n.at(a + 1))) for a in q.edges()))
 
 
 def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
     """Canonical minimal diagram of the closed orbit inside {f_{(p,q)} != 0}.
 
-    Walk the columns from p to q carrying a bundle of c strands; c starts
-    at n_p.  On a rightward edge the bundle occupies the bottom c dots of
-    both columns, on a leftward edge the top c dots.  Whenever the walk
-    crosses an interior sink or source the bundle is replaced by the
-    complementary dots of that column, so c becomes n_v - c.  The index
-    conditions keep every intermediate c in range, and at column q the
-    bundle size equals n_q exactly.
+    Edge t-1 carries a bundle of c strands for each level (t, c) of the
+    walk from p to q.  Past an interior sink or source v the bundle moves
+    to the complementary dots of column v, since c becomes n_v - c.
     """
     check_invariant(q, n, idx)
-    cols = _columns(n)
     conns = [frozenset() for _ in q.edges()]
-    c = n.at(idx.p)
-    for v in range(idx.p, idx.q):
-        na, nb = cols[v - 1], cols[v]
-        if q.delta(v) == RIGHT:
-            pairs = {(b, b) for b in range(1, c + 1)}
-        else:
-            pairs = {(na - t + 1, nb - t + 1) for t in range(1, c + 1)}
-        conns[v - 1] = frozenset(pairs)
-        if v + 1 < idx.q and q.delta(v + 1) != q.delta(v):
-            c = n.at(v + 1) - c
-    return LaceDiagram(cols, tuple(conns))
+    for t, c in _walk(q, n, idx.p):
+        conns[t - 2] = _bundle(q, n, t - 1, c)
+    return LaceDiagram(_columns(n), tuple(conns))
 
 
 def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:

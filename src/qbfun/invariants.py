@@ -47,7 +47,8 @@ def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
     """Alternating sum n_{nu(alpha+kappa)} - n_{nu(alpha+kappa-1)} + ... -/+ n_p.
 
     kappa = -1 is the empty alternation and returns n_p; it is the value
-    in force when no sink or source separates p from q.
+    in force when no sink or source separates p from q.  This is the
+    paper's notation; the engine reads the same values off the level walk.
     """
     if not -1 <= kappa <= idx.beta - idx.alpha:
         raise ShapeError(f"kappa = {kappa} out of range -1..{idx.beta - idx.alpha}")
@@ -60,34 +61,49 @@ def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
     return total + sign * n.at(idx.p)
 
 
+def _walk(q: QuiverA, n: DimVector, p: int):
+    """Yield (t, c) for t = p+1, p+2, ...: the level c carried into column t.
+
+    The level starts at n_p and becomes n_t - c after each interior sink
+    or source t.  The walk stops after the first column with n_t <= c;
+    (p, t) is an invariant exactly when n_t == c there, so each p has at
+    most one partner, and the walk from an invariant's p yields the
+    levels into its columns p+1..q.
+    """
+    c = n.at(p)
+    for t in range(p + 1, q.r + 1):
+        yield t, c
+        if n.at(t) <= c:
+            return
+        if q.is_sink(t) or q.is_source(t):
+            c = n.at(t) - c
+
+
+def _partner(q: QuiverA, n: DimVector, p: int):
+    """The q with (p, q) an invariant, or None; needs p < r."""
+    *_, (t, c) = _walk(q, n, p)
+    return t if n.at(t) == c else None
+
+
 def is_invariant(q: QuiverA, n: DimVector, p: int, qq: int) -> bool:
-    """Test the four index conditions for (p, q)."""
+    """Whether the level walk from p ends at q.
+
+    This is the paper's four index conditions: n_t > c strictly between
+    p and q, and n_q = c, with c the alternating sum nbar in force.
+    """
     check_dims(q, n)
-    idx = invariant_index(q, p, qq)
-    nu = sinks_sources(q)
-    if idx.beta == idx.alpha - 1:
-        # p and q on one monotone run: interior dimensions strictly larger, ends equal
-        return all(n.at(t) > n.at(p) for t in range(p + 1, qq)) and n.at(qq) == n.at(p)
-    if any(n.at(t) <= n.at(p) for t in range(p + 1, nu[idx.alpha] + 1)):
-        return False
-    for kappa in range(idx.beta - idx.alpha):
-        level = nbar(q, n, idx, kappa)
-        if any(n.at(t) <= level for t in range(nu[idx.alpha + kappa] + 1, nu[idx.alpha + kappa + 1] + 1)):
-            return False
-    level = nbar(q, n, idx, idx.beta - idx.alpha)
-    if any(n.at(t) <= level for t in range(nu[idx.beta] + 1, qq)):
-        return False
-    return n.at(qq) == level
+    invariant_index(q, p, qq)  # raises unless 1 <= p < q <= r
+    return _partner(q, n, p) == qq
 
 
 def enumerate_invariants(q: QuiverA, n: DimVector) -> tuple[InvariantIndex, ...]:
-    """All invariant labels, sorted by (p, q).  May be empty."""
+    """All invariant labels, sorted by (p, q): one walk per p.  May be empty."""
     check_dims(q, n)
     found = []
     for p in range(1, q.r):
-        for qq in range(p + 1, q.r + 1):
-            if is_invariant(q, n, p, qq):
-                found.append(invariant_index(q, p, qq))
+        qq = _partner(q, n, p)
+        if qq is not None:
+            found.append(invariant_index(q, p, qq))
     return tuple(found)
 
 

@@ -23,6 +23,7 @@ from .errors import (
     BudgetExceededError,
     DiagnosticError,
     OracleIdentityError,
+    QuiverParseError,
     ShapeError,
 )
 from .invariants import (
@@ -51,17 +52,16 @@ class Budget:
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
+        """Read NSTATE, NF,NSTATE or NF,NSTATE,SIZE; each a positive integer."""
         try:
             parts = [int(tok) for tok in text.split(",")]
         except ValueError as exc:
-            raise ShapeError(f"cannot parse budget {text!r}") from exc
+            raise QuiverParseError(f"cannot parse budget {text!r}") from exc
+        if len(parts) > 3 or min(parts) < 1:
+            raise QuiverParseError(f"budget {text!r} needs 1..3 comma-separated positive integers")
         if len(parts) == 1:
             return cls(state_terms=parts[0])
-        if len(parts) == 2:
-            return cls(invariant_terms=parts[0], state_terms=parts[1])
-        if len(parts) == 3:
-            return cls(invariant_terms=parts[0], state_terms=parts[1], matrix_size=parts[2])
-        raise ShapeError("budget needs 1..3 comma-separated integers")
+        return cls(*parts)
 
     @classmethod
     def from_env(cls) -> "Budget":

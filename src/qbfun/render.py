@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from xml.sax.saxutils import escape
 
-from .bfun import LinearForm, fset_of_invariant
-from .diagrams import LaceDiagram, exact_diagram
-from .errors import DiagnosticError, ShapeError
-from .invariants import enumerate_invariants
+from .bfun import fset_of_invariant, invariant_fsets, merge_columns
+from .diagrams import LaceDiagram, arrow
+from .errors import ShapeError
 from .quiver import RIGHT, DimVector, QuiverA
 
 
@@ -46,60 +45,25 @@ def column_offsets(q: QuiverA, columns) -> tuple[int, ...]:
     return tuple(off - base for off in offsets)
 
 
-def _edge_label_assignment(q, n, idx, label: int, num_labels: int) -> dict:
-    """Attach the invariant's column ranges to its exact diagram's arrows.
-
-    The range of column k labels the arrows on edge k-1.  On a rightward
-    edge constants increase downwards, on a leftward edge upwards.
-    """
-    d = exact_diagram(q, n, idx)
-    fs = fset_of_invariant(q, n, idx)
-    coeffs = tuple(1 if i == label else 0 for i in range(1, num_labels + 1))
+def _labeled(q: QuiverA, n: DimVector, fsets) -> LabeledDiagram:
+    """Lay out each merged form of the F-sets on the arrow its constant names."""
+    conns = [set() for _ in q.edges()]
     labels = {}
-    for a in q.edges():
-        pairs = sorted(d.edge(a))  # ascending height (bottom-up dot index)
-        constants = list(fs.members(a + 1))
-        if len(pairs) != len(constants):
-            raise DiagnosticError(f"edge {a}: {len(pairs)} arrows vs {len(constants)} constants")
-        if q.delta(a) == RIGHT:
-            pairs = pairs[::-1]
-        for pair, c in zip(pairs, constants):
-            labels[(a, pair)] = LinearForm(coeffs, c)
-    return labels
+    for k, form in merge_columns(fsets):
+        pair = arrow(q, n, k - 1, form.constant)
+        conns[k - 2].add(pair)
+        labels[(k - 1, pair)] = form
+    return LabeledDiagram(q, LaceDiagram(tuple(n.entries), tuple(frozenset(c) for c in conns)), labels)
 
 
-def labeled_exact_diagram(q: QuiverA, n: DimVector, idx, label: int = 1, num_labels: int = 1) -> LabeledDiagram:
-    return LabeledDiagram(q, exact_diagram(q, n, idx), _edge_label_assignment(q, n, idx, label, num_labels))
+def labeled_exact_diagram(q: QuiverA, n: DimVector, idx) -> LabeledDiagram:
+    """The exact diagram of idx, each arrow labelled s + constant."""
+    return _labeled(q, n, [fset_of_invariant(q, n, idx)])
 
 
 def superposed_diagram(q: QuiverA, n: DimVector) -> LabeledDiagram:
-    """Union of all exact diagrams; shared arrows merge their labels.
-
-    Every label attaching to a shared arrow must agree on the constant
-    term; the merged form sums the s-variables.
-    """
-    invariants = enumerate_invariants(q, n)
-    l = len(invariants)
-    union = [set() for _ in q.edges()]
-    constants = {}
-    supports = {}
-    for label, idx in enumerate(invariants, start=1):
-        assignment = _edge_label_assignment(q, n, idx, label, l)
-        for (a, pair), form in assignment.items():
-            union[a - 1].add(pair)
-            key = (a, pair)
-            if key in constants and constants[key] != form.constant:
-                raise DiagnosticError(
-                    f"edge {a} connection {pair}: constants {constants[key]} and {form.constant} disagree"
-                )
-            constants[key] = form.constant
-            supports.setdefault(key, set()).add(label)
-    diagram = LaceDiagram(tuple(n.entries), tuple(frozenset(p) for p in union))
-    labels = {}
-    for key, support in supports.items():
-        coeffs = tuple(1 if i in support else 0 for i in range(1, l + 1))
-        labels[key] = LinearForm(coeffs, constants[key])
-    return LabeledDiagram(q, diagram, labels)
+    """Union of all exact diagrams; each arrow carries its merged form."""
+    return _labeled(q, n, invariant_fsets(q, n))
 
 
 def render_ascii(ld: LabeledDiagram) -> str:

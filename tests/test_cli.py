@@ -126,3 +126,34 @@ def test_exit_code_budget(capsys):
 def test_exit_code_missing_subcommand(capsys):
     assert cli_main([]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    code = cli_main(
+        ["diagram", "--quiver", "1->2", "--dims", "1,1", "--complete", "--render", "svg", "--out", str(target)]
+    )
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exit_code_pq_out_of_range(capsys):
+    for pq in ("0,9", "2,1", "1,3"):
+        assert cli_main(["bfun", "--quiver", "1->2", "--dims", "1,1", "--pq", pq]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_dims_wrong_length(capsys):
+    for cmd in (["invariants"], ["bfun-multi"], ["bfun", "--pq", "1,2"], ["verify"]):
+        assert cli_main([*cmd, "--quiver", "1->2", "--dims", "1,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_bad_budget(monkeypatch, capsys):
+    for budget in ("-5", "0,0,0", "abc", "1,2,3,4"):
+        assert cli_main(["verify", "--quiver", "1->2", "--dims", "1,1", "--budget", budget]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    monkeypatch.setenv("QBFUN_BUDGET", "-5")
+    assert cli_main(["verify", "--quiver", "1->2", "--dims", "1,1"]) == 2
+    capsys.readouterr()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALT5, EQUI5, A7, instance, random_instance, random_invertible
+from conftest import ALT5, EQUI5, A7, instance, random_instance, random_invertible, random_quiver
 from qbfun import (
     DimVector,
     MatrixRep,
@@ -13,12 +13,14 @@ from qbfun import (
     evaluate_invariant,
     fset_of_invariant,
     invariant_index,
+    is_invariant,
     nbar,
     parse_quiver,
+    sinks_sources,
 )
 from qbfun.diagrams import complete_diagram, diagram_to_matrices, exact_diagram
 from qbfun.errors import NotAnInvariantError, ShapeError
-from qbfun.invariants import act, block_structure
+from qbfun.invariants import _walk, act, block_structure
 from qbfun import linalg
 
 A8 = ("1->2->3<-4->5->6<-7<-8", (1, 2, 2, 2, 3, 3, 3, 2))
@@ -198,3 +200,48 @@ def test_block_structure_is_square_for_invariants():
         for idx in invs:
             spec = block_structure(q, idx.p, idx.q)
             assert sum(spec.row_dims(n)) == sum(spec.col_dims(n))
+
+
+def paper_index_conditions(q, n, p, qq):
+    """The paper's four index conditions for (p, q), in its alpha/beta/nbar notation."""
+    idx = invariant_index(q, p, qq)
+    nu = sinks_sources(q)
+    if idx.beta == idx.alpha - 1:
+        return all(n.at(t) > n.at(p) for t in range(p + 1, qq)) and n.at(qq) == n.at(p)
+    if any(n.at(t) <= n.at(p) for t in range(p + 1, nu[idx.alpha] + 1)):
+        return False
+    for kappa in range(idx.beta - idx.alpha):
+        level = nbar(q, n, idx, kappa)
+        if any(n.at(t) <= level for t in range(nu[idx.alpha + kappa] + 1, nu[idx.alpha + kappa + 1] + 1)):
+            return False
+    level = nbar(q, n, idx, idx.beta - idx.alpha)
+    return all(n.at(t) > level for t in range(nu[idx.beta] + 1, qq)) and n.at(qq) == level
+
+
+def segment_columns(q, idx, kappa):
+    """Columns whose level is nbar(kappa): segment kappa of the sink/source sequence between p and q."""
+    nu = sinks_sources(q)
+    start = idx.p + 1 if kappa == -1 else nu[idx.alpha + kappa] + 1
+    end = idx.q if kappa == idx.beta - idx.alpha else nu[idx.alpha + kappa + 1]
+    return range(start, end + 1)
+
+
+def test_walk_matches_paper_index_conditions():
+    rng = random.Random(16)
+    found = 0
+    for _ in range(400):
+        q = random_quiver(rng, 2, 10)
+        n = DimVector(tuple(rng.randint(1, 6) for _ in range(q.r)))
+        for p in range(1, q.r):
+            partners = [qq for qq in range(p + 1, q.r + 1) if is_invariant(q, n, p, qq)]
+            assert len(partners) <= 1
+            for qq in range(p + 1, q.r + 1):
+                assert is_invariant(q, n, p, qq) == paper_index_conditions(q, n, p, qq)
+        for idx in enumerate_invariants(q, n):
+            level = dict(_walk(q, n, idx.p))
+            assert sorted(level) == list(range(idx.p + 1, idx.q + 1))
+            for kappa in range(-1, idx.beta - idx.alpha + 1):
+                for t in segment_columns(q, idx, kappa):
+                    assert level[t] == nbar(q, n, idx, kappa)
+            found += 1
+    assert found > 100

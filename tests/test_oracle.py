@@ -20,7 +20,7 @@ from qbfun import (
     oracle_b_function,
     parse_quiver,
 )
-from qbfun.errors import BudgetExceededError
+from qbfun.errors import BudgetExceededError, QuiverParseError
 from qbfun.oracle import grad_log_invariant, variable_table
 
 
@@ -227,6 +227,15 @@ def test_budget_parsing():
     assert Budget.parse("500") == Budget(state_terms=500)
     assert Budget.parse("100,900") == Budget(invariant_terms=100, state_terms=900)
     assert Budget.parse("100,900,4") == Budget(100, 900, 4)
+
+
+def test_budget_parsing_rejects_non_positive_and_junk(monkeypatch):
+    for text in ("-5", "0,0,0", "100,0", "abc", "1,2,3,4", ""):
+        with pytest.raises(QuiverParseError):
+            Budget.parse(text)
+    monkeypatch.setenv("QBFUN_BUDGET", "0")
+    with pytest.raises(QuiverParseError):
+        Budget.from_env()
 
 
 def test_generic_point_degree_equals_oracle_degree():

@@ -1,7 +1,9 @@
+import random
 import xml.etree.ElementTree as ET
+from collections import Counter
 
-from conftest import ALT5, EQUI5, instance
-from qbfun import complete_diagram, exact_diagram, invariant_index
+from conftest import ALT5, EQUI5, instance, random_instance
+from qbfun import a_function, b_multivariate, complete_diagram, exact_diagram, invariant_index
 from qbfun.diagrams import empty_diagram
 from qbfun.render import (
     LabeledDiagram,
@@ -110,3 +112,26 @@ def test_svg_deterministic():
     q, n = instance(*ALT5)
     ld = superposed_diagram(q, n)
     assert render_svg(ld) == render_svg(ld)
+
+
+def test_superposition_matches_per_diagram_routes_random():
+    """The one merge reproduces the exact diagrams, their union and the label grouping by arrow."""
+    rng = random.Random(17)
+    for _ in range(150):
+        q, n, invs = random_instance(rng, rmax=9, nmax=7)
+        diagrams = [exact_diagram(q, n, idx) for idx in invs]
+        for idx, d in zip(invs, diagrams):
+            assert labeled_exact_diagram(q, n, idx).diagram == d
+        ld = superposed_diagram(q, n)
+        for a in q.edges():
+            assert ld.diagram.edge(a) == frozenset().union(*(d.edge(a) for d in diagrams))
+        # the a-function as the per-arrow grouping of the exact diagrams by label support
+        usage = {}
+        for label, d in enumerate(diagrams, start=1):
+            for a in q.edges():
+                for pair in d.edge(a):
+                    usage.setdefault((a, pair), set()).add(label)
+        assert {key: set(form.support) for key, form in ld.labels.items()} == usage
+        by_support = Counter(tuple(sorted(s)) for s in usage.values())
+        assert {form.support: e for form, e in a_function(q, n).factors} == by_support
+        assert Counter(ld.labels.values()) == Counter(dict(b_multivariate(q, n).factors))
