@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 parse and input errors
+Exit codes: 0 success, 1 verification failure (a failed check, or an
+operator identity that does not close), 2 parse and input errors
 (including a --pq or --dims that does not fit the quiver), 3 mathematical
 errors (e.g. a pair that labels no invariant), 4 oracle budget exceeded,
 5 a file could not be written.
@@ -262,7 +263,7 @@ _EXIT_CODES = {
     NotAnInvariantError: 3,
     ShapeError: 3,
     DiagnosticError: 3,
-    OracleIdentityError: 3,
+    OracleIdentityError: 1,
     BudgetExceededError: 4,
     OSError: 5,
 }

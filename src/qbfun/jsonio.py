@@ -2,10 +2,13 @@
 
 Every serializer has an inverse and round-trips exactly.  b-function
 coefficient keys are always "s1", "s2", ...; the text formatter prints a
-bare "s" in the one-variable case.
+bare "s" in the one-variable case.  Every decoder raises QuiverParseError
+on a malformed document.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .bfun import AFunction, FactoredBFunction, FSet, LinearForm
 from .diagrams import LaceDiagram
@@ -14,12 +17,28 @@ from .quiver import DimVector, Interval, QuiverA, parse_quiver
 from .ranks import RankParameter, SliceRep
 
 
+def _decoder(fn):
+    """Report any failure to decode a document as a QuiverParseError."""
+
+    @wraps(fn)
+    def decode(data):
+        try:
+            return fn(data)
+        except QuiverParseError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise QuiverParseError(f"malformed document for {fn.__name__}: {exc!r}") from exc
+
+    return decode
+
+
 # -- quiver ----------------------------------------------------------------
 
 def quiver_to_json(q: QuiverA) -> str:
     return str(q)
 
 
+@_decoder
 def quiver_from_json(text: str) -> QuiverA:
     return parse_quiver(text)
 
@@ -50,6 +69,7 @@ def bfun_to_json(b: FactoredBFunction) -> dict:
     }
 
 
+@_decoder
 def bfun_from_json(data: dict) -> FactoredBFunction:
     num_labels = data["variables"]
     factors = tuple(
@@ -84,6 +104,7 @@ def afun_to_json(a: AFunction) -> dict:
     }
 
 
+@_decoder
 def afun_from_json(data: dict) -> AFunction:
     num_labels = data["variables"]
     factors = tuple(
@@ -119,6 +140,7 @@ def fset_to_json(fs: FSet) -> dict:
     }
 
 
+@_decoder
 def fset_from_json(data: dict) -> FSet:
     ranges = [None] * (data["size"] - 1)
     for item in data["columns"]:
@@ -133,8 +155,14 @@ def rank_to_json(N: RankParameter) -> dict:
     return {"size": N.r, "rows": [list(row) for row in N.rows]}
 
 
+@_decoder
 def rank_from_json(data: dict) -> RankParameter:
-    return RankParameter(tuple(tuple(row) for row in data["rows"]))
+    rows = tuple(tuple(row) for row in data["rows"])
+    if data["size"] != len(rows) or any(
+        len(row) != len(rows) - i or not all(type(x) is int for x in row) for i, row in enumerate(rows)
+    ):
+        raise QuiverParseError("rank parameter rows must be integer rows of lengths size, size-1, ..., 1")
+    return RankParameter(rows)
 
 
 # -- lace diagrams ---------------------------------------------------------------
@@ -149,6 +177,7 @@ def diagram_to_json(d: LaceDiagram) -> dict:
     }
 
 
+@_decoder
 def diagram_from_json(data: dict) -> LaceDiagram:
     columns = tuple(data["columns"])
     conns = [frozenset() for _ in range(len(columns) - 1)]
@@ -169,6 +198,7 @@ def slice_to_json(s: SliceRep) -> dict:
     }
 
 
+@_decoder
 def slice_from_json(data: dict) -> SliceRep:
     vertices = tuple(
         (Interval(item["interval"][0], item["interval"][1]), item["mult"])

@@ -212,8 +212,8 @@ def _factor_b(coeffs: dict, expected_degree: int):
     deg = max(coeffs)
     if deg != expected_degree:
         raise OracleIdentityError(f"b-function degree {deg}, expected {expected_degree}")
-    lead = coeffs[deg]
-    monic = [coeffs.get(k, Fraction(0)) / lead for k in range(deg + 1)]
+    lead = Fraction(coeffs[deg])
+    monic = [coeffs.get(k, 0) / lead for k in range(deg + 1)]
     if any(c.denominator != 1 for c in monic):
         raise OracleIdentityError("monic b-function has non-integer coefficients")
     poly = [int(c) for c in monic]  # poly[k] = coefficient of s^k
@@ -251,6 +251,56 @@ class BernsteinResult:
     constant: Fraction  # scalar by which the raw identity differs from monic
 
 
+def _operator_layers(operator, fs, m, s_polys, budget):
+    """Apply operator(d/dx) to prod_i f_i^{s_i + m_i}; return its layers.
+
+    The layers map a k-vector to the polynomial P_k multiplying
+    prod_i f_i^{s_i + m_i - k_i}.  The derivative in x_v of one layer term
+    is dP_k/dx_v in the same layer plus P_k (s_i + m_i - k_i) df_i/dx_v
+    one layer up in i.  Each monomial of the operator is walked from the
+    state that holds only P_0 = 1, in ascending lex order of the monomials.
+    """
+    l = len(fs)
+    df_cache = {}
+
+    def df(i, v):
+        if (i, v) not in df_cache:
+            df_cache[(i, v)] = fs[i].derivative(v)
+        return df_cache[(i, v)]
+
+    def one_derivative(state, v):
+        new = {}
+
+        def bump(key, P):
+            if P:
+                new[key] = new[key] + P if key in new else P
+
+        for kvec, P in state.items():
+            bump(kvec, P.derivative(v))
+            for i in range(l):
+                dfv = df(i, v)
+                if dfv:
+                    contrib = P * dfv * (s_polys[i] + (m[i] - kvec[i]))
+                    bump(kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], contrib)
+        new = {k: P for k, P in new.items() if P}
+        total = sum(P.num_terms() for P in new.values())
+        if total > budget.state_terms:
+            raise BudgetExceededError("state terms", total, budget.state_terms)
+        return new
+
+    one = MultiPolynomial.const(operator.table, 1)
+    final = {}
+    for exp, coef in operator.monomials():
+        state = {(0,) * l: one}
+        for v, e in enumerate(exp):
+            for _ in range(e):
+                state = one_derivative(state, v)
+        for kvec, P in state.items():
+            contrib = P * coef
+            final[kvec] = final[kvec] + contrib if kvec in final else contrib
+    return {k: P for k, P in final.items() if P}
+
+
 def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> BernsteinResult:
     """Apply f*(d/dx) to f^{s+1} and extract the monic b-function.
 
@@ -269,44 +319,10 @@ def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> 
     if d == 0:
         raise ShapeError("invariant is constant")
     s_idx = table.index["s"]
-    if any(e[s_idx] for e in f.terms) or any(e[s_idx] for e in fstar.terms):
+    if any(e[s_idx] for g in (f, fstar) for e, _ in g.monomials()):
         raise ShapeError("invariant polynomials must not involve s")
-    s_poly = MultiPolynomial.variable(table, "s")
-    df_cache = {}
-
-    def df(v):
-        if v not in df_cache:
-            df_cache[v] = f.derivative(v)
-        return df_cache[v]
-
-    def one_derivative(state, v):
-        new = {}
-        for k, P in state.items():
-            dP = P.derivative(v)
-            if dP:
-                new[k] = new[k] + dP if k in new else dP
-            dfv = df(v)
-            if dfv:
-                contrib = P * dfv * (s_poly + (1 - k))
-                if contrib:
-                    new[k + 1] = new[k + 1] + contrib if k + 1 in new else contrib
-        new = {k: P for k, P in new.items() if P}
-        total = sum(P.num_terms() for P in new.values())
-        if total > budget.state_terms:
-            raise BudgetExceededError("state terms", total, budget.state_terms)
-        return new
-
-    one = MultiPolynomial.const(table, 1)
-    final = {}
-    for exp, coef in sorted(fstar.terms.items()):
-        state = {0: one}
-        for v, e in enumerate(exp):
-            for _ in range(e):
-                state = one_derivative(state, v)
-        for k, P in state.items():
-            contrib = P * coef
-            final[k] = final[k] + contrib if k in final else contrib
-    final = {k: P for k, P in final.items() if P}
+    layers = _operator_layers(fstar, [f], (1,), [MultiPolynomial.variable(table, "s")], budget)
+    final = {k: P for (k,), P in layers.items()}
     if 0 in final:
         raise OracleIdentityError("derivative layers retain an underived component")
 
@@ -322,8 +338,8 @@ def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> 
             raise BudgetExceededError("state terms", T.num_terms(), budget.state_terms)
 
     coeffs = {}
-    for e, c in T.terms.items():
-        if any(e[i] for i in range(len(table)) if i != s_idx):
+    for e, c in T.monomials():
+        if any(k for i, k in enumerate(e) if i != s_idx):
             raise OracleIdentityError("extracted b-function still involves matrix variables")
         coeffs[e[s_idx]] = c
     b, lead = _factor_b(coeffs, d)
@@ -393,45 +409,7 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         operator = operator * fstar ** mi
         if operator.num_terms() > budget.state_terms:
             raise BudgetExceededError("operator terms", operator.num_terms(), budget.state_terms)
-
-    df_cache = {}
-
-    def df(i, v):
-        if (i, v) not in df_cache:
-            df_cache[(i, v)] = fs[i].derivative(v)
-        return df_cache[(i, v)]
-
-    def one_derivative(state, v):
-        new = {}
-
-        def bump(key, P):
-            if P:
-                new[key] = new[key] + P if key in new else P
-
-        for kvec, P in state.items():
-            bump(kvec, P.derivative(v))
-            for i in range(l):
-                dfv = df(i, v)
-                if dfv:
-                    contrib = P * dfv * (s_polys[i] + (m[i] - kvec[i]))
-                    bump(kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], contrib)
-        new = {k: P for k, P in new.items() if P}
-        total = sum(P.num_terms() for P in new.values())
-        if total > budget.state_terms:
-            raise BudgetExceededError("state terms", total, budget.state_terms)
-        return new
-
-    one = MultiPolynomial.const(table, 1)
-    final = {}
-    for exp, coef in sorted(operator.terms.items()):
-        state = {(0,) * l: one}
-        for v, e in enumerate(exp):
-            for _ in range(e):
-                state = one_derivative(state, v)
-        for kvec, P in state.items():
-            contrib = P * coef
-            final[kvec] = final[kvec] + contrib if kvec in final else contrib
-    final = {k: P for k, P in final.items() if P}
+    final = _operator_layers(operator, fs, m, s_polys, budget)
 
     caps = [max(max((kvec[i] for kvec in final), default=0), m[i]) for i in range(l)]
     powers = []
@@ -459,17 +437,17 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         b_poly = numerator.exact_div(denominator)
     except DiagnosticError as exc:
         raise OracleIdentityError("operator output is not a multiple of the invariant powers") from exc
-    for e in b_poly.terms:
-        if any(e[i] for i in range(len(table)) if i not in s_idxs):
-            raise OracleIdentityError("extracted b-function still involves matrix variables")
+    b_terms = dict(b_poly.monomials())
+    if any(k for e in b_terms for i, k in enumerate(e) if i not in s_idxs):
+        raise OracleIdentityError("extracted b-function still involves matrix variables")
 
     engine = bracket_product_poly(b_multivariate(q, n), m, table)
     if engine.is_zero():
         raise OracleIdentityError("engine bracket product is zero")
-    lead = max(engine.terms)
-    if lead not in b_poly.terms:
+    lead, lead_coef = engine.monomials()[-1]
+    if lead not in b_terms:
         return MultiBernsteinResult(False, b_poly, engine, Fraction(0))
-    constant = b_poly.terms[lead] / engine.terms[lead]
+    constant = Fraction(b_terms[lead], lead_coef)
     ok = b_poly == engine * constant
     return MultiBernsteinResult(ok, b_poly, engine, constant)
 

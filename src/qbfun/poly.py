@@ -1,25 +1,54 @@
-"""Sparse multivariate polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals, with packed monomials.
 
-Terms are a dict from dense exponent tuples to Fraction coefficients,
-keyed against an interned, fixed variable table.  Lexicographic order on
-exponent tuples is the monomial order used for exact division.
+A monomial is one int (Kronecker substitution): the exponent of variable k
+sits in a 16-bit field, variable 0 in the most significant one.  Integer
+order on these keys is lexicographic order on exponent vectors, the
+monomial order used for exact division, and multiplying two monomials is
+adding their keys.  The top bit of each field is a guard: an exponent is at
+most 2^15 - 1, and a sum that reaches a guard bit raises
+BudgetExceededError instead of carrying into the next variable.
+
+Coefficients are ints; a Fraction appears only where exact division meets
+a quotient coefficient that is not integral.  Only this module reads the
+key format: other modules go through ``monomials`` and ``from_monomials``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 
-from .errors import DiagnosticError, ShapeError
+from .errors import BudgetExceededError, DiagnosticError, ShapeError
+
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+
+
+def _coef(value):
+    """An exact coefficient: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class VarTable:
-    """Immutable ordered list of variable names shared by polynomials."""
+    """Immutable ordered list of variable names shared by polynomials.
+
+    It fixes the field of each variable in a packed monomial key.
+    """
 
     def __init__(self, names):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ShapeError("duplicate variable names")
         self.index = {name: k for k, name in enumerate(self.names)}
+        width = len(self.names)
+        self.shifts = tuple(FIELD_BITS * (width - 1 - k) for k in range(width))
+        self.guard = sum(1 << (shift + FIELD_BITS - 1) for shift in self.shifts)
 
     def __len__(self):
         return len(self.names)
@@ -27,29 +56,72 @@ class VarTable:
     def __repr__(self):
         return f"VarTable({len(self.names)} vars)"
 
+    def _pack(self, exps) -> int:
+        if len(exps) != len(self.names):
+            raise ShapeError("need one exponent per variable")
+        key = 0
+        for e in exps:
+            if e < 0:
+                raise ShapeError("exponents must be non-negative")
+            if e > MAX_EXPONENT:
+                raise BudgetExceededError("exponent", e, MAX_EXPONENT)
+            key = (key << FIELD_BITS) | e
+        return key
+
+    def _unpack(self, key) -> tuple:
+        return tuple((key >> shift) & FIELD_MASK for shift in self.shifts)
+
+    def _check_guard(self, keys):
+        """Raise if any key, a sum of two valid keys, reached a guard bit."""
+        guard = self.guard
+        if reduce(or_, keys, 0) & guard:
+            worst = max(max(self._unpack(k)) for k in keys if k & guard)
+            raise BudgetExceededError("exponent", worst, MAX_EXPONENT)
+
 
 class MultiPolynomial:
     __slots__ = ("table", "terms")
 
     def __init__(self, table: VarTable, terms=None):
+        """``terms`` maps packed monomial keys of ``table`` to coefficients."""
         self.table = table
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+        self.terms = {e: _coef(c) for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _make(cls, table, terms):
+        """Wrap a dict of nonzero exact coefficients without copying it."""
+        poly = object.__new__(cls)
+        poly.table = table
+        poly.terms = terms
+        return poly
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls, table):
-        return cls(table)
+        return cls._make(table, {})
 
     @classmethod
     def const(cls, table, value):
-        value = Fraction(value)
-        return cls(table, {(0,) * len(table): value} if value else {})
+        value = _coef(value)
+        return cls._make(table, {0: value} if value else {})
 
     @classmethod
     def variable(cls, table, name):
-        exp = [0] * len(table)
-        exp[table.index[name]] = 1
-        return cls(table, {tuple(exp): Fraction(1)})
+        return cls._make(table, {1 << table.shifts[table.index[name]]: 1})
+
+    @classmethod
+    def from_monomials(cls, table, monomials):
+        """Sum of coefficient * monomial over (exponent tuple, coefficient) pairs."""
+        terms = {}
+        for exps, c in monomials:
+            key = table._pack(exps)
+            terms[key] = terms.get(key, 0) + c
+        return cls(table, terms)
+
+    def monomials(self):
+        """The (exponent tuple, coefficient) pairs in ascending lex order."""
+        unpack = self.table._unpack
+        return [(unpack(e), self.terms[e]) for e in sorted(self.terms)]
 
     # -- predicates and measures ----------------------------------------
     def is_zero(self):
@@ -59,19 +131,20 @@ class MultiPolynomial:
         return len(self.terms)
 
     def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
+        unpack = self.table._unpack
+        return max((sum(unpack(e)) for e in self.terms), default=0)
 
     def constant_value(self):
         """The coefficient of the empty monomial (the value if constant)."""
-        if any(any(e) for e in self.terms):
+        if any(self.terms):
             raise ShapeError("polynomial is not constant")
-        return self.terms.get((0,) * len(self.table), Fraction(0))
+        return self.terms.get(0, 0)
 
     def __eq__(self, other):
         if isinstance(other, MultiPolynomial):
             return self.table is other.table and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == MultiPolynomial.const(self.table, other).terms
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def __bool__(self):
@@ -97,13 +170,13 @@ class MultiPolynomial:
             if s:
                 terms[e] = s
             else:
-                terms.pop(e, None)
-        return MultiPolynomial(self.table, terms)
+                del terms[e]
+        return MultiPolynomial._make(self.table, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPolynomial(self.table, {e: -c for e, c in self.terms.items()})
+        return MultiPolynomial._make(self.table, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -116,22 +189,25 @@ class MultiPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _coef(other)
             if not other:
                 return MultiPolynomial.zero(self.table)
-            return MultiPolynomial(self.table, {e: c * other for e, c in self.terms.items()})
+            return MultiPolynomial._make(self.table, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return MultiPolynomial(self.table, out)
+            for e2, c2 in right:
+                key = e1 + e2
+                out[key] = get(key, 0) + c1 * c2
+        # every key ever summed is still in out, cancelled ones included
+        self.table._check_guard(out)
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return MultiPolynomial._make(self.table, out)
 
     __rmul__ = __mul__
 
@@ -150,25 +226,21 @@ class MultiPolynomial:
         return result
 
     def derivative(self, var_index: int):
+        shift = self.table.shifts[var_index]
+        unit = 1 << shift
         out = {}
         for e, c in self.terms.items():
-            k = e[var_index]
-            if not k:
-                continue
-            key = e[:var_index] + (k - 1,) + e[var_index + 1:]
-            s = out.get(key, 0) + c * k
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return MultiPolynomial(self.table, out)
+            k = (e >> shift) & FIELD_MASK
+            if k:
+                out[e - unit] = c * k  # distinct monomials stay distinct
+        return MultiPolynomial._make(self.table, out)
 
     def eval_at(self, values) -> Fraction:
         if len(values) != len(self.table):
             raise ShapeError("need one value per variable")
         vals = [Fraction(v) for v in values]
         total = Fraction(0)
-        for e, c in self.terms.items():
+        for e, c in self.monomials():
             term = c
             for v, k in zip(vals, e):
                 if k:
@@ -181,43 +253,61 @@ class MultiPolynomial:
 
         Lex order makes the leading term of a product the product of
         leading terms, so dividing leads step by step either terminates
-        with zero remainder or proves non-divisibility.
+        with zero remainder or proves non-divisibility.  Leaders come off
+        a max-heap of remainder keys; a popped key no longer in the
+        remainder was cancelled and is skipped.  Each step only adds keys
+        below the current leader, so no key is processed twice.
         """
         divisor = self._coerce(divisor)
         if divisor is None or divisor.is_zero():
             raise DiagnosticError("division by zero polynomial")
+        table = self.table
+        guard = table.guard
         lead_d = max(divisor.terms)
         coef_d = divisor.terms[lead_d]
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_d]
+        # per-field maximum of the divisor: exp + e overflows for some e iff exp + top does
+        top = table._pack([max(col) for col in zip(*(table._unpack(e) for e in divisor.terms))])
         rem = dict(self.terms)
+        heap = [-e for e in rem]
+        heapify(heap)
         quot = {}
-        while rem:
-            lead_r = max(rem)
-            exp = tuple(a - b for a, b in zip(lead_r, lead_d))
-            if any(x < 0 for x in exp):
+        while heap:
+            lead = -heappop(heap)
+            c = rem.pop(lead, None)
+            if c is None:
+                continue
+            diff = (lead | guard) - lead_d
+            if diff & guard != guard:
                 raise DiagnosticError("polynomial division is not exact")
-            coef = rem[lead_r] / coef_d
+            exp = diff ^ guard
+            table._check_guard((exp + top,))
+            coef, r = divmod(c, coef_d)
+            if r:
+                coef = Fraction(c, coef_d)
             quot[exp] = coef
-            for e, c in divisor.terms.items():
-                key = tuple(a + b for a, b in zip(exp, e))
-                s = rem.get(key, 0) - coef * c
-                if s:
-                    rem[key] = s
+            for e, cd in tail:
+                key = exp + e
+                s = rem.get(key)
+                if s is None:
+                    rem[key] = -coef * cd
+                    heappush(heap, -key)
                 else:
-                    rem.pop(key, None)
-        return MultiPolynomial(self.table, quot)
+                    s -= coef * cd
+                    if s:
+                        rem[key] = s
+                    else:
+                        del rem[key]
+        return MultiPolynomial._make(table, quot)
 
     # -- display ----------------------------------------------------------
     def __str__(self):
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            factors = [
-                f"{self.table.names[i]}^{k}" if k > 1 else self.table.names[i]
-                for i, k in enumerate(e)
-                if k
-            ]
+        names = self.table.names
+        for e, c in reversed(self.monomials()):
+            factors = [f"{names[i]}^{k}" if k > 1 else names[i] for i, k in enumerate(e) if k]
             body = "*".join(factors)
             if not body:
                 parts.append(str(c))

@@ -17,6 +17,22 @@ EQUI5 = ("1->2->3->4->5", (2, 5, 6, 6, 2))
 ALT5 = ("1->2<-3->4<-5", (2, 5, 7, 4, 2))
 A7 = ("1->2<-3->4->5->6<-7", (1, 3, 5, 4, 4, 3, 1))
 
+# Four-vertex chains with dims in {1,2,3}^4 whose (1,4) invariant runs the
+# operator identity past the default state-terms budget (126k-142k > 20k);
+# the oracle gate family leaves them out, and test_oracle pins why.
+ORACLE_OVER_BUDGET = frozenset(
+    {
+        ("1->2->3->4", (2, 3, 3, 2)),
+        ("1->2->3<-4", (2, 3, 3, 1)),
+        ("1->2<-3->4", (2, 3, 3, 2)),
+        ("1->2<-3<-4", (1, 3, 3, 2)),
+        ("1<-2->3->4", (1, 3, 3, 2)),
+        ("1<-2->3<-4", (2, 3, 3, 2)),
+        ("1<-2<-3->4", (2, 3, 3, 1)),
+        ("1<-2<-3<-4", (2, 3, 3, 2)),
+    }
+)
+
 
 def random_quiver(rng: random.Random, rmin=2, rmax=7) -> QuiverA:
     r = rng.randint(rmin, rmax)

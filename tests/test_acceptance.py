@@ -8,8 +8,9 @@ Random instances are drawn once from a fixed seed and shared.
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 
-from conftest import ALT5, EQUI5, A7, instance, random_instance
+from conftest import ALT5, EQUI5, A7, ORACLE_OVER_BUDGET, instance, random_instance
 from qbfun import (
     Budget,
     FactoredBFunction,
@@ -144,6 +145,11 @@ def _oracle_family():
                 for n2 in (1, 2, 3):
                     for n3 in (1, 2, 3):
                         cases.append(instance(text, (n1, n2, n3)))
+    for arrows in product(("->", "<-"), repeat=3):
+        text = "1{}2{}3{}4".format(*arrows)
+        for dims in product((1, 2, 3), repeat=4):
+            if (text, dims) not in ORACLE_OVER_BUDGET:
+                cases.append(instance(text, dims))
     return cases
 
 

@@ -157,3 +157,17 @@ def test_exit_code_bad_budget(monkeypatch, capsys):
     monkeypatch.setenv("QBFUN_BUDGET", "-5")
     assert cli_main(["verify", "--quiver", "1->2", "--dims", "1,1"]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_oracle_identity_failure(monkeypatch, capsys):
+    """An operator identity that does not close is a failed verification: exit 1."""
+    import qbfun.cli
+    from qbfun.errors import OracleIdentityError
+
+    def broken(*args, **kwargs):
+        raise OracleIdentityError("layer 2 is not divisible by the invariant")
+
+    monkeypatch.setattr(qbfun.cli, "oracle_b_function", broken)
+    assert cli_main(["verify", "--quiver", "1->2", "--dims", "2,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -1,6 +1,8 @@
 import json
 import random
 
+import pytest
+
 from conftest import ALT5, EQUI5, instance, random_instance
 from qbfun import (
     b_multivariate,
@@ -32,7 +34,9 @@ from qbfun.jsonio import (
     slice_from_json,
     slice_to_json,
 )
+from qbfun import jsonio
 from qbfun.bfun import a_function
+from qbfun.errors import QuiverParseError
 
 
 def through_json(value, dump, load):
@@ -91,3 +95,19 @@ def test_text_formats():
     assert "[s1+s2+5]_{m1+m2}" in multi_text
     afun_text = format_afun_text(a_function(q, n))
     assert "(s1+s2)^{2*(m1+m2)}" in afun_text
+
+
+DECODERS = sorted(name for name in vars(jsonio) if name.endswith("_from_json") and not name.startswith("_"))
+
+
+@pytest.mark.parametrize("document", [{}, [], "x"], ids=["object", "array", "string"])
+@pytest.mark.parametrize("decoder", DECODERS)
+def test_decoders_reject_malformed_documents(decoder, document):
+    with pytest.raises(QuiverParseError):
+        getattr(jsonio, decoder)(document)
+
+
+def test_rank_decoder_checks_the_triangle():
+    for data in ({"size": 1, "rows": ["x"]}, {"size": 2, "rows": [[1, 1], [1, 1]]}, {"size": 3, "rows": [[1]]}):
+        with pytest.raises(QuiverParseError):
+            rank_from_json(data)

@@ -1,0 +1,252 @@
+"""The packed-monomial kernel against a tuple-exponent / Fraction reference.
+
+The reference restates the textbook representation in a few lines: a dict
+from exponent tuples to Fraction coefficients, with lexicographic order on
+the tuples.  Every ring operation of ``MultiPolynomial`` must agree with it
+on seeded random sparse polynomials, and the guard bits must stop an
+exponent at 2^15 - 1 instead of carrying into the next variable.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from qbfun.errors import BudgetExceededError, DiagnosticError, QbfunError
+from qbfun.poly import MAX_EXPONENT, MultiPolynomial, VarTable
+
+NAMES = ("x", "y", "z")
+TABLE = VarTable(NAMES)
+X, Y, Z = (MultiPolynomial.variable(TABLE, name) for name in NAMES)
+CASES = 300
+
+
+# -- the reference ------------------------------------------------------------
+
+def ref_clean(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return ref_clean(out)
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(u + v for u, v in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_pow(a, k):
+    out = {(0,) * len(NAMES): Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_derivative(a, v):
+    out = {}
+    for e, c in a.items():
+        if e[v]:
+            out[e[:v] + (e[v] - 1,) + e[v + 1:]] = c * e[v]
+    return out
+
+
+def ref_eval(a, values):
+    total = Fraction(0)
+    for e, c in a.items():
+        term = c
+        for value, k in zip(values, e):
+            term *= Fraction(value) ** k
+        total += term
+    return total
+
+
+def ref_div(a, b):
+    """Divide lex leaders until the remainder is zero; raise if a leader does not divide."""
+    lead_b = max(b)
+    rem, quot = dict(a), {}
+    while rem:
+        lead = max(rem)
+        exp = tuple(u - v for u, v in zip(lead, lead_b))
+        if min(exp) < 0:
+            raise DiagnosticError("not exact")
+        coef = rem[lead] / b[lead_b]
+        quot[exp] = coef
+        rem = ref_add(rem, {tuple(u + v for u, v in zip(exp, e)): -coef * c for e, c in b.items()})
+    return quot
+
+
+def ref_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a, reverse=True):
+        c = a[e]
+        body = "*".join(f"{NAMES[i]}^{k}" if k > 1 else NAMES[i] for i, k in enumerate(e) if k)
+        if not body:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{c}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def packed(ref):
+    return MultiPolynomial.from_monomials(TABLE, ref.items())
+
+
+def unpacked(poly):
+    return dict(poly.monomials())
+
+
+# -- random inputs ------------------------------------------------------------------
+
+def random_coefficient(rng, integral=False):
+    if integral or rng.random() < 0.6:
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def random_reference(rng, integral=False, nonzero=False):
+    while True:
+        terms = {
+            tuple(rng.randint(0, 3) for _ in NAMES): random_coefficient(rng, integral)
+            for _ in range(rng.randint(0, 6))
+        }
+        terms = ref_clean(terms)
+        if terms or not nonzero:
+            return terms
+
+
+# -- properties -------------------------------------------------------------------
+
+def test_ring_operations_match_reference():
+    rng = random.Random(71)
+    for _ in range(CASES):
+        a, b, k = random_reference(rng), random_reference(rng), rng.randint(0, 3)
+        pa, pb = packed(a), packed(b)
+        assert unpacked(pa) == a
+        assert unpacked(pa + pb) == ref_add(a, b)
+        assert unpacked(pa - pb) == ref_add(a, {e: -c for e, c in b.items()})
+        assert unpacked(pa * pb) == ref_mul(a, b)
+        assert unpacked(pa ** k) == ref_pow(a, k)
+        assert unpacked(pa * Fraction(3, 2)) == ref_mul(a, {(0, 0, 0): Fraction(3, 2)})
+
+
+def test_derivative_eval_and_str_match_reference():
+    rng = random.Random(72)
+    for _ in range(CASES):
+        a = random_reference(rng)
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in NAMES]
+        pa = packed(a)
+        for v in range(len(NAMES)):
+            assert unpacked(pa.derivative(v)) == ref_derivative(a, v)
+        assert pa.eval_at(values) == ref_eval(a, values)
+        assert str(pa) == ref_str(a)
+
+
+def test_packed_order_is_lex_order():
+    rng = random.Random(73)
+    for _ in range(CASES):
+        a = random_reference(rng, nonzero=True)
+        pa = packed(a)
+        assert [e for e, _ in pa.monomials()] == sorted(a)
+        lead = max(pa.terms)
+        assert pa.table._unpack(lead) == max(a)
+        assert pa.terms[lead] == a[max(a)]
+
+
+def test_exact_division_matches_reference():
+    rng = random.Random(74)
+    for _ in range(CASES):
+        a, b, r = random_reference(rng), random_reference(rng, nonzero=True), random_reference(rng)
+        pa, pb = packed(a), packed(b)
+        assert (pa * pb).exact_div(pb) == pa
+        dividend = ref_add(ref_mul(a, b), r)
+        try:
+            expected = ref_div(dividend, b)
+        except DiagnosticError:
+            with pytest.raises(DiagnosticError):
+                packed(dividend).exact_div(pb)
+        else:
+            assert unpacked(packed(dividend).exact_div(pb)) == expected
+
+
+def test_integer_inputs_keep_integer_coefficients():
+    rng = random.Random(75)
+    for _ in range(CASES):
+        pa, pb = packed(random_reference(rng, True)), packed(random_reference(rng, True))
+        for poly in (pa + pb, pa - pb, pa * pb, pa ** 2, pa.derivative(0), (pa * pb).exact_div(pb or 1)):
+            assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_quotient_coefficients_are_fractions_only_when_not_integral():
+    two = (X * 4 + Y * 6).exact_div(2 * X + 3 * Y)
+    assert two == 2 and type(two.constant_value()) is int
+    half = (X * 2).exact_div(X * 4)
+    assert half == Fraction(1, 2) and type(half.constant_value()) is Fraction
+
+
+def test_non_divisible_pairs_raise():
+    for dividend, divisor in ((X * Y + 1, X), (X, X + 1), (X, Y), (X * Y ** 2, Y ** 3), (Z, Y * Z)):
+        with pytest.raises(DiagnosticError):
+            dividend.exact_div(divisor)
+    with pytest.raises(DiagnosticError):
+        X.exact_div(MultiPolynomial.zero(TABLE))
+
+
+# -- the guard bits ------------------------------------------------------------------
+
+@pytest.mark.parametrize("v", range(len(NAMES)))
+def test_largest_exponent_multiplies_exactly(v):
+    var = MultiPolynomial.variable(TABLE, NAMES[v])
+    top = var ** MAX_EXPONENT
+    exps = [0, 0, 0]
+    exps[v] = MAX_EXPONENT
+    assert top.monomials() == [(tuple(exps), 1)]
+    others = [MultiPolynomial.variable(TABLE, name) ** MAX_EXPONENT for name in NAMES if name != NAMES[v]]
+    full = top * others[0] * others[1]
+    assert full.monomials() == [((MAX_EXPONENT,) * 3, 1)]
+    assert (top * 3).derivative(v).monomials() == [(tuple(e - (i == v) for i, e in enumerate(exps)), 3 * MAX_EXPONENT)]
+
+
+@pytest.mark.parametrize("v", range(len(NAMES)))
+def test_one_step_past_the_largest_exponent_raises(v):
+    var = MultiPolynomial.variable(TABLE, NAMES[v])
+    top = var ** MAX_EXPONENT
+    with pytest.raises(BudgetExceededError) as info:
+        top * var
+    assert isinstance(info.value, QbfunError) and info.value.actual == MAX_EXPONENT + 1
+    with pytest.raises(BudgetExceededError):
+        var ** (MAX_EXPONENT + 1)
+    with pytest.raises(BudgetExceededError):
+        top * (var + 1)  # the overflowing product is not the leading one
+    exps = [0, 0, 0]
+    exps[v] = MAX_EXPONENT + 1
+    with pytest.raises(BudgetExceededError):
+        MultiPolynomial.from_monomials(TABLE, [(tuple(exps), 1)])
+
+
+def test_exact_division_guards_its_products():
+    dividend = X * Y ** MAX_EXPONENT
+    assert dividend.exact_div(X) == Y ** MAX_EXPONENT
+    with pytest.raises(BudgetExceededError):
+        dividend.exact_div(X + Y)  # the quotient's first step adds y^1 to y^MAX
+
+
+def test_key_format_stays_inside_poly():
+    """Only qbfun.poly reads packed keys; other modules go through monomials()."""
+    src = Path(__file__).resolve().parent.parent / "src" / "qbfun"
+    readers = [path.name for path in sorted(src.glob("*.py")) if path.name != "poly.py" and ".terms" in path.read_text()]
+    assert readers == []
