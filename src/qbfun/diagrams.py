@@ -165,8 +165,12 @@ def strand_multiset(d: LaceDiagram) -> Counter:
 
 def strand_lookup(d: LaceDiagram):
     """Map (column, dot) -> Strand containing it."""
+    return _lookup(strands(d))
+
+
+def _lookup(found) -> dict:
     table = {}
-    for s in strands(d):
+    for s in found:
         for offset, dot in enumerate(s.dots):
             table[(s.interval.i + offset, dot)] = s
     return table

@@ -1,21 +1,26 @@
 """Exact linear algebra over integers and rationals.
 
-Matrices are immutable tuples of row tuples.  Determinants and ranks use
-fraction-free (Bareiss) elimination: integer inputs stay integer all the
-way through, and rational inputs are lifted to integers by clearing row
-denominators first.
+Matrices are immutable tuples of row tuples.  Determinants use
+fraction-free (Bareiss) elimination and ranks fraction-free elimination
+on sparse rows: integer inputs stay integer all the way through, and
+rational rows are lifted to integers by clearing their denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from itertools import compress, repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import ShapeError, SingularMatrixError
 
 
 def mat(rows):
-    return tuple(tuple(row) for row in rows)
+    # from a list, not a generator: tuple() then allocates the exact size instead of
+    # resizing a guess, which would strand the block on another size's free list
+    return tuple([tuple(row) for row in rows])
 
 
 def zeros(m, n, zero=0):
@@ -43,16 +48,9 @@ def mat_mul(a, b):
     if ra and cb and not ca:
         raise ShapeError("inner dimension 0 with nonzero outer dimensions has no generic zero entry")
     bt = list(zip(*b)) if b else []
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+    # reduce(add, map(mul, ...)) is the left-to-right sum row[0]*col[0] + row[1]*col[1] + ...;
+    # tuples are made from lists for the reason given in mat()
+    return tuple([tuple([reduce(add, map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_chain(mats):
@@ -71,11 +69,17 @@ def _int_rows(a):
         if all(isinstance(x, int) for x in row):
             rows.append(list(row))
             continue
-        fracs = [Fraction(x) for x in row]
-        den = lcm(*(f.denominator for f in fracs)) if fracs else 1
+        lifted, den = _lift(row)
         scale *= den
-        rows.append([int(f * den) for f in fracs])
+        rows.append(lifted)
     return rows, scale
+
+
+def _lift(row):
+    """(row times the lcm of its denominators, that lcm) for rational entries."""
+    fracs = [Fraction(x) for x in row]
+    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return [int(f * den) for f in fracs], den
 
 
 def det(a):
@@ -119,36 +123,46 @@ def _det_bareiss(a):
 
 
 def rank(a):
-    """Exact rank via fraction-free elimination with column pivoting."""
-    if not a or not a[0]:
-        return 0
-    rows, _ = _int_rows(a)
-    m, n = len(rows), len(rows[0])
-    r = 0
-    prev = 1
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    """Exact rank by fraction-free elimination on sparse integer rows.
+
+    Each row is reduced against the pivot rows found so far, keyed by
+    their leading column, until it vanishes or leads in a new column.
+    A step cross-multiplies by the two leading entries over their gcd
+    and divides the result by the gcd of its entries, so only nonzero
+    entries are touched and integers stay small.  A row is lifted to
+    integers only if it holds an entry that is not an int.
+    """
+    if len(set(map(len, a))) > 1:
+        raise ShapeError("rank of a ragged matrix")
+    pivots = {}
+    for row in a:
+        if not any(row):
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, m):
-            row_i = rows[i]
-            factor = row_i[col]
-            row_r = rows[r]
-            for j in range(col + 1, n):
-                # Sylvester's identity keeps this division exact.
-                row_i[j] = (pivot * row_i[j] - factor * row_r[j]) // prev
-            row_i[col] = 0
-        prev = pivot
-        r += 1
-        if r == m:
-            break
-    return r
+        v = dict(compress(enumerate(row), row))
+        if not all(map(isinstance, v.values(), repeat(int))):
+            v = dict(zip(v, _lift(v.values())[0]))
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                break
+            g = gcd(p[lead], v[lead])
+            mp, mv = v[lead] // g, p[lead] // g
+            if mv != 1:
+                for j in v:
+                    v[j] *= mv
+            for j, y in p.items():
+                x = v.get(j, 0) - mp * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+            c = gcd(*v.values())
+            if c > 1:
+                for j in v:
+                    v[j] //= c
+    return len(pivots)
 
 
 def inverse(a):

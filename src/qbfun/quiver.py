@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 from .errors import QuiverParseError, ShapeError
 
@@ -169,7 +171,7 @@ def _entry_seq(n, r: int):
     entries = n.entries if isinstance(n, DimVector) else tuple(n)
     if len(entries) != r:
         raise ShapeError(f"vector of length {len(entries)} on a quiver with {r} vertices")
-    if any(not isinstance(x, int) or x < 0 for x in entries):
+    if not all(map(isinstance, entries, repeat(int))) or min(entries) < 0:
         raise ShapeError("vector entries must be integers >= 0")
     return entries
 
@@ -182,9 +184,10 @@ def euler_form(q: QuiverA, n, m) -> int:
     """
     nn = _entry_seq(n, q.r)
     mm = _entry_seq(m, q.r)
-    total = sum(x * y for x, y in zip(nn, mm))
-    for a in q.edges():
-        total -= nn[q.tail(a) - 1] * mm[q.head(a) - 1]
+    total = sum(map(mul, nn, mm))
+    for v, d in enumerate(q.directions):
+        # edge v + 1 joins the entries v and v + 1
+        total -= nn[v] * mm[v + 1] if d == RIGHT else nn[v + 1] * mm[v]
     return total
 
 
@@ -192,4 +195,4 @@ def interval_vector(r: int, iv: Interval) -> tuple[int, ...]:
     """0/1 characteristic vector of [i, j] as a length-r dimension vector."""
     if iv.j > r:
         raise ShapeError(f"interval {iv} does not fit in {r} vertices")
-    return tuple(1 if v in iv else 0 for v in range(1, r + 1))
+    return (0,) * (iv.i - 1) + (1,) * (iv.j - iv.i + 1) + (0,) * (r - iv.j)

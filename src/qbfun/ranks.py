@@ -10,15 +10,18 @@ exact lace diagram.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .bfun import FactoredBFunction, b_one_variable
-from .diagrams import exact_diagram, strand_lookup, strand_multiset
+from .diagrams import _lookup, exact_diagram, strands
 from .errors import DiagnosticError, ShapeError
 from .invariants import (
     InvariantIndex,
     MatrixRep,
+    PathProducts,
     assemble,
     block_structure,
     check_invariant,
@@ -55,12 +58,14 @@ def rank_parameter(q: QuiverA, n, rep: MatrixRep) -> RankParameter:
     expected = tuple(n.entries) if isinstance(n, DimVector) else tuple(n)
     if dims != expected:
         raise ShapeError("representation dimensions do not match the dimension vector")
+    product = PathProducts(rep)
     rows = []
     for i in range(1, q.r + 1):
         row = [dims[i - 1]]
         for j in range(i + 1, q.r + 1):
-            row.append(linalg.rank(assemble(block_structure(q, i, j), rep)))
+            row.append(linalg.rank(assemble(block_structure(q, i, j), rep, product)))
         rows.append(tuple(row))
+        product.forget(i)  # later pairs start right of i
     return RankParameter(tuple(rows))
 
 
@@ -175,7 +180,7 @@ class SliceRep:
 def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> SliceRep:
     """Local quiver of the exact diagram's strand decomposition."""
     check_invariant(q, n, idx)
-    counts = strand_multiset(exact_diagram(q, n, idx))
+    _, counts, _ = _slice_side(q, n, idx)
     vertices = tuple(sorted(counts.items()))
     arrows = {}
     for a, (u, _) in enumerate(vertices, start=1):
@@ -184,6 +189,18 @@ def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> Slice
             if e:
                 arrows[(a, b)] = e
     return SliceRep(vertices, arrows)
+
+
+@lru_cache(maxsize=1)
+def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
+    """Exact diagram, strand multiset and strand lookup of idx.
+
+    Cached for the run of calls that share one slice invariant: a slice
+    request restricts every other invariant to the same slice.
+    """
+    d = exact_diagram(q, n, idx)
+    found = strands(d)
+    return d, Counter(s.interval for s in found), _lookup(found)
 
 
 @dataclass(frozen=True)
@@ -223,10 +240,8 @@ def restricted_invariant_shape(
     check_invariant(q, n, idx_f)
     if idx_f == idx_slice:
         return RestrictedInvariant(constant=True)
-    d_slice = exact_diagram(q, n, idx_slice)
+    d_slice, counts, lookup = _slice_side(q, n, idx_slice)
     d_f = exact_diagram(q, n, idx_f)
-    lookup = strand_lookup(d_slice)
-    counts = strand_multiset(d_slice)
 
     local_edges = {}
     for a in q.edges():

@@ -209,3 +209,73 @@ def test_restricted_b_divides_specialized_multivariate():
                     continue
                 assert shape.local_b().divides(b.specialize_label(fi))
         done += 1
+
+
+def per_pair_rank_parameter(q, rep):
+    """Each N_ij as the rank of its own freshly multiplied block matrix."""
+    from qbfun import linalg
+    from qbfun.invariants import assemble, block_structure
+
+    rows = []
+    for i in range(1, q.r + 1):
+        row = [rep.dims[i - 1]]
+        row += [linalg.rank(assemble(block_structure(q, i, j), rep)) for j in range(i + 1, q.r + 1)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_shared_products_match_per_pair_ranks_on_random_points():
+    rng = random.Random(47)
+    for _ in range(40):
+        q, n, invs = random_instance(rng, rmax=7, nmax=4)
+        reps = [MatrixRep.random(q, n, rng), MatrixRep.random(q, n, rng, 0, 1)]
+        reps.append(diagram_to_matrices(q, n, exact_diagram(q, n, invs[0])))
+        for rep in reps:
+            assert rank_parameter(q, n, rep).rows == per_pair_rank_parameter(q, rep)
+
+
+def test_path_products_match_plain_chains_in_any_order():
+    from qbfun import linalg
+    from qbfun.invariants import PathProducts, block_structure
+
+    rng = random.Random(48)
+    for _ in range(20):
+        q, n, _ = random_instance(rng, rmax=7, nmax=4)
+        rep = MatrixRep.random(q, n, rng)
+        product = PathProducts(rep)
+        paths = [
+            path
+            for i in q.vertices()
+            for j in range(i + 1, q.r + 1)
+            for path in block_structure(q, i, j).entries.values()
+        ]
+        rng.shuffle(paths)
+        for path in paths:
+            assert product(path) == linalg.mat_chain([rep.matrix(e) for e in path])
+            if rng.random() < 0.2:
+                product.forget(rng.randint(1, q.r))
+
+
+def test_rank_parameter_is_invariant_under_the_group_action():
+    """g acts through inverse, so the ranks are taken of Fraction matrices."""
+    from conftest import random_invertible
+    from qbfun.invariants import act
+
+    rng = random.Random(49)
+    for _ in range(25):
+        q, n, invs = random_instance(rng, rmax=6, nmax=4)
+        for rep in (MatrixRep.random(q, n, rng), diagram_to_matrices(q, n, exact_diagram(q, n, invs[0]))):
+            g = [random_invertible(rng, n.at(v)) for v in q.vertices()]
+            moved = act(q, g, rep)
+            assert rank_parameter(q, n, moved) == rank_parameter(q, n, rep)
+
+
+def test_restricted_shapes_do_not_depend_on_call_order():
+    rng = random.Random(50)
+    for _ in range(15):
+        q, n, invs = random_instance(rng, rmax=7, nmax=5)
+        pairs = [(s, f) for s in invs for f in invs]
+        by_slice = {(s, f): restricted_invariant_shape(q, n, s, f) for s, f in pairs}
+        rng.shuffle(pairs)
+        for s, f in pairs:
+            assert restricted_invariant_shape(q, n, s, f) == by_slice[(s, f)]

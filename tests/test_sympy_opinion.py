@@ -115,3 +115,23 @@ def test_factor_b_roots_match_sympy_on_oracle_output(monkeypatch):
     assert len(seen) >= len(cases)
     for coeffs, b in seen:
         assert roots_of(b) == sympy_roots(coeffs)
+
+
+def test_rank_matches_sympy():
+    """linalg.rank against sympy on random points, their block matrices and Fraction entries."""
+    from qbfun import MatrixRep, linalg
+    from qbfun.invariants import block_structure
+
+    rng = random.Random(84)
+    checked = 0
+    while checked < 150:
+        q, n, _ = random_instance(rng, rmax=5, nmax=3)
+        rep = MatrixRep.random(q, n, rng, -1, 1)
+        for i in range(1, q.r):
+            j = rng.randint(i + 1, q.r)
+            rows = assemble(block_structure(q, i, j), rep)
+            if rng.random() < 0.5:
+                rows = tuple(tuple(Fraction(x, rng.randint(1, 4)) for x in row) for row in rows)
+            want = sympy.Matrix([[to_sympy(x, ()) for x in row] for row in rows]).rank()
+            assert linalg.rank(rows) == want
+            checked += 1
