@@ -10,6 +10,7 @@ errors (e.g. a pair that labels no invariant), 4 oracle budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -58,6 +59,7 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
+@functools.cache  # one parser per process: parse_args leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qbfun")
     subs = parser.add_subparsers(dest="command", required=True)

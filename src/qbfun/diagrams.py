@@ -163,12 +163,8 @@ def strand_multiset(d: LaceDiagram) -> Counter:
     return Counter(s.interval for s in strands(d))
 
 
-def strand_lookup(d: LaceDiagram):
-    """Map (column, dot) -> Strand containing it."""
-    return _lookup(strands(d))
-
-
 def _lookup(found) -> dict:
+    """Map (column, dot) -> the strand of ``found`` containing it."""
     table = {}
     for s in found:
         for offset, dot in enumerate(s.dots):

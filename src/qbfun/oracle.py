@@ -270,10 +270,18 @@ def _operator_layers(operator, fs, m, s_polys, budget):
 
     def one_derivative(state, v):
         new = {}
+        total = 0  # terms in new, kept while merging so an overshoot stops early
 
         def bump(key, P):
+            nonlocal total
             if P:
-                new[key] = new[key] + P if key in new else P
+                if key in new:
+                    total -= new[key].num_terms()
+                    P = new[key] + P
+                new[key] = P
+                total += P.num_terms()
+                if total > budget.state_terms:
+                    raise BudgetExceededError("state terms", total, budget.state_terms)
 
         for kvec, P in state.items():
             bump(kvec, P.derivative(v))
@@ -282,11 +290,7 @@ def _operator_layers(operator, fs, m, s_polys, budget):
                 if dfv:
                     contrib = P * dfv * (s_polys[i] + (m[i] - kvec[i]))
                     bump(kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], contrib)
-        new = {k: P for k, P in new.items() if P}
-        total = sum(P.num_terms() for P in new.values())
-        if total > budget.state_terms:
-            raise BudgetExceededError("state terms", total, budget.state_terms)
-        return new
+        return {k: P for k, P in new.items() if P}
 
     one = MultiPolynomial.const(operator.table, 1)
     final = {}

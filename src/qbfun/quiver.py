@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import QuiverParseError, ShapeError
@@ -60,16 +61,16 @@ class QuiverA:
         """Interior source: both neighbouring edges point away from ``v``."""
         return 1 < v < self.r and self.delta(v - 1) == LEFT and self.delta(v) == RIGHT
 
+    @cached_property
+    def _rights(self) -> tuple[int, ...]:  # [k] = rightward edges among 1..k, k = 0..r-1
+        return (0, *accumulate(d == RIGHT for d in self.directions))
+
     def dual(self) -> "QuiverA":
         """The quiver with every arrow reversed."""
         return QuiverA(self.r, tuple(-d for d in self.directions))
 
     def __str__(self) -> str:
-        parts = ["1"]
-        for a in self.edges():
-            parts.append("->" if self.delta(a) == RIGHT else "<-")
-            parts.append(str(a + 1))
-        return "".join(parts)
+        return "1" + "".join(f"{'->' if d == RIGHT else '<-'}{v}" for v, d in enumerate(self.directions, start=2))
 
 
 def parse_quiver(text: str) -> QuiverA:
@@ -159,7 +160,8 @@ def sinks_sources(q: QuiverA) -> tuple[int, ...]:
     """
     if q.r == 1:
         return (1,)
-    inner = [v for v in range(2, q.r) if q.delta(v - 1) != q.delta(v)]
+    d = q.directions
+    inner = [v for v in range(2, q.r) if d[v - 2] != d[v - 1]]
     return (1, *inner, q.r)
 
 
@@ -196,3 +198,19 @@ def interval_vector(r: int, iv: Interval) -> tuple[int, ...]:
     if iv.j > r:
         raise ShapeError(f"interval {iv} does not fit in {r} vertices")
     return (0,) * (iv.i - 1) + (1,) * (iv.j - iv.i + 1) + (0,) * (r - iv.j)
+
+
+def interval_euler_form(q: QuiverA, u: Interval, w: Interval) -> int:
+    """euler_form of the interval vectors of u and w, in O(1).
+
+    |u ∩ w|, minus the rightward edges v with v in u and v + 1 in w, minus
+    the leftward edges v with v + 1 in u and v in w.
+    """
+    if max(u.j, w.j) > q.r:
+        raise ShapeError(f"interval {u if u.j > q.r else w} does not fit in {q.r} vertices")
+    rights = q._rights
+    lo, hi = max(u.i, w.i - 1), min(u.j, w.j - 1)
+    right = rights[hi] - rights[lo - 1] if lo <= hi else 0
+    lo, hi = max(u.i - 1, w.i), min(u.j - 1, w.j)
+    left = hi - lo + 1 - rights[hi] + rights[lo - 1] if lo <= hi else 0
+    return max(0, min(u.j, w.j) - max(u.i, w.i) + 1) - right - left

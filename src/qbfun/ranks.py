@@ -28,7 +28,7 @@ from .invariants import (
     invariant_index,
     is_invariant,
 )
-from .quiver import LEFT, RIGHT, DimVector, Interval, QuiverA, euler_form, interval_vector
+from .quiver import LEFT, RIGHT, DimVector, Interval, QuiverA, interval_euler_form, interval_vector
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def summand_ext(q: QuiverA, u: Interval, w: Interval) -> int:
     are disjoint and an arrow runs from an end of u to the adjacent end
     of w, and 0 otherwise (nested or overlapping pairs contribute 0).
     """
-    e = (1 if u == w else 0) - euler_form(q, interval_vector(q.r, u), interval_vector(q.r, w))
+    e = (1 if u == w else 0) - interval_euler_form(q, u, w)
     if e not in (0, 1):
         raise DiagnosticError(f"Ext count {e} for {u}, {w}; not a valid summand pair")
     return e

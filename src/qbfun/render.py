@@ -9,7 +9,7 @@ the diagram, so renders are byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
+from html import escape
 
 from .bfun import fset_of_invariant, invariant_fsets, merge_columns
 from .diagrams import LaceDiagram, arrow
@@ -152,7 +152,7 @@ def render_svg(ld: LabeledDiagram) -> str:
                 tx = (xa + xb) // 2
                 ty = min(ya, yb) - 4
                 parts.append(
-                    f'<text x="{tx}" y="{ty}" font-size="10" text-anchor="middle">{escape(form.label_text())}</text>'
+                    f'<text x="{tx}" y="{ty}" font-size="10" text-anchor="middle">{escape(form.label_text(), quote=False)}</text>'
                 )
     for col in range(1, q.r + 1):
         for dot in range(1, d.columns[col - 1] + 1):

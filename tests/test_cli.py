@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 from qbfun.cli import cli_main
 
@@ -171,3 +176,66 @@ def test_exit_code_oracle_identity_failure(monkeypatch, capsys):
     assert cli_main(["verify", "--quiver", "1->2", "--dims", "2,2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_one_process_answers_like_fresh_processes(tmp_path, monkeypatch, capsys):
+    """A sequence of requests through one cli_main matches one process per request.
+
+    The parser is built once per process, so each request must still print,
+    write and exit as it would alone: help, parse errors and every exit code
+    included.  argparse wraps usage text to COLUMNS, so both sides share it.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    alt = ["--quiver", "1->2<-3->4<-5", "--dims", "2,5,7,4,2"]
+    svg = tmp_path / "superposed.svg"
+    requests = [
+        ["bfun", *alt, "--pq", "1,4"],
+        # no --pq here: an attribute left over from the request above would not fit 1->2
+        ["invariants", "--quiver", "1->2", "--dims", "2,2", "--format", "text"],
+        ["bfun-multi", *alt],
+        ["afun", *alt, "--format", "text"],
+        ["diagram", *alt, "--pq", "2,5"],
+        ["diagram", *alt, "--complete", "--render", "ascii"],
+        ["diagram", *alt, "--superposed", "--render", "svg", "--out", str(svg)],
+        ["ranks", *alt, "--pq", "1,4"],
+        ["slice", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2", "--pq", "3,4"],
+        ["verify", "--quiver", "1->2", "--dims", "2,2", "--format", "text"],
+        ["--help"],
+        ["diagram", *alt, "--pq", "1,4", "--complete"],
+        ["bfun", *alt, "--pq", "nope"],
+        ["bfun", "--quiver", "1->2", "--dims", "2,2,2", "--pq", "1,2"],
+        ["bfun", "--quiver", "1->2", "--dims", "1,2", "--pq", "1,2"],
+        ["verify", "--quiver", "1->2", "--dims", "2,2", "--budget", "1"],
+        ["diagram", *alt, "--complete", "--render", "svg", "--out", str(tmp_path / "missing" / "x.svg")],
+    ]
+
+    def written():
+        if not svg.exists():
+            return None
+        body = svg.read_bytes()
+        svg.unlink()
+        return body
+
+    def fresh(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "qbfun.cli", *argv], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    # only one request writes a file, so the fresh processes may run side by side
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        expected = list(pool.map(fresh, requests))
+    svg_body = written()
+    assert svg_body is not None
+    expected = [(*got, svg_body if argv[-1] == str(svg) else None) for argv, got in zip(requests, expected)]
+
+    for argv, want in zip(requests, expected):
+        code = cli_main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err, written()) == want, argv
+    assert [code for code, *_ in expected] == [0] * 11 + [2, 2, 2, 3, 4, 5]
+
+    # the errors above left nothing behind
+    assert (cli_main(list(requests[0])), capsys.readouterr().out) == expected[0][:2]

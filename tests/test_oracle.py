@@ -271,3 +271,20 @@ def test_oracle_family_exclusions_exceed_the_state_budget(text, dims):
             assert info.value.what == "state terms"
         else:
             assert oracle_b_function(q, n, idx).b == b_one_variable(q, n, idx)
+
+
+@pytest.mark.parametrize(
+    "text,dims",
+    [("1->2->3<-4", (2, 3, 3, 1)), ("1->2<-3<-4", (1, 3, 3, 2)), ("1<-2->3->4", (1, 3, 3, 2)), ("1<-2<-3->4", (2, 3, 3, 1))],
+)
+def test_state_budget_stops_while_the_state_is_built(text, dims):
+    """The state-terms check runs as contributions merge, not after a whole derivative.
+
+    On these chains no single contribution is large, so the abort comes
+    within twice the budget instead of at the full next state (133,875 terms).
+    """
+    q, n = instance(text, dims)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle_b_function(q, n, invariant_index(q, 1, 4))
+    assert info.value.what == "state terms"
+    assert info.value.actual < 2 * info.value.limit

@@ -5,7 +5,7 @@ import pytest
 from conftest import random_quiver
 from qbfun import DimVector, Interval, dual, euler_form, interval_vector, parse_quiver, sinks_sources
 from qbfun.errors import QuiverParseError, ShapeError
-from qbfun.quiver import LEFT, RIGHT
+from qbfun.quiver import LEFT, RIGHT, QuiverA, interval_euler_form
 
 
 def test_parse_arrow_form():
@@ -125,3 +125,31 @@ def test_interval_validation_and_order():
         Interval(3, 2)
     assert Interval(1, 2) < Interval(1, 3) < Interval(2, 2)
     assert 2 in Interval(1, 3) and 4 not in Interval(1, 3)
+
+
+def _seeded_chains():
+    """r = 1 and eight seeded chains with 2 <= r <= 25."""
+    rng = random.Random(25)
+    yield QuiverA(1, ())
+    for _ in range(8):
+        yield random_quiver(rng, 2, 25)
+
+
+def test_interval_euler_form_matches_euler_form():
+    for q in _seeded_chains():
+        intervals = [Interval(i, j) for i in q.vertices() for j in range(i, q.r + 1)]
+        vectors = {iv: interval_vector(q.r, iv) for iv in intervals}
+        for u in intervals:
+            for w in intervals:
+                assert interval_euler_form(q, u, w) == euler_form(q, vectors[u], vectors[w]), (str(q), u, w)
+        outside = Interval(1, q.r + 1)
+        for pair in ((outside, intervals[0]), (intervals[0], outside)):
+            with pytest.raises(ShapeError):
+                interval_euler_form(q, *pair)
+
+
+def test_sinks_sources_matches_delta_reference():
+    for q in _seeded_chains():
+        inner = [v for v in range(2, q.r) if q.delta(v - 1) != q.delta(v)]
+        expected = (1,) if q.r == 1 else (1, *inner, q.r)
+        assert sinks_sources(q) == expected
