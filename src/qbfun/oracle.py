@@ -14,7 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from . import linalg
 from .bfun import FactoredBFunction, a_function, b_multivariate
@@ -38,7 +38,7 @@ from .invariants import (
     invariant_index,
     is_invariant,
 )
-from .poly import MultiPolynomial, VarTable
+from .poly import Accumulator, MultiPolynomial, VarTable
 from .quiver import DimVector, QuiverA
 
 
@@ -255,54 +255,85 @@ def _operator_layers(operator, fs, m, s_polys, budget):
     """Apply operator(d/dx) to prod_i f_i^{s_i + m_i}; return its layers.
 
     The layers map a k-vector to the polynomial P_k multiplying
-    prod_i f_i^{s_i + m_i - k_i}.  The derivative in x_v of one layer term
-    is dP_k/dx_v in the same layer plus P_k (s_i + m_i - k_i) df_i/dx_v
-    one layer up in i.  Each monomial of the operator is walked from the
-    state that holds only P_0 = 1, in ascending lex order of the monomials.
+    prod_i f_i^{s_i + m_i - k_i}.  Each P_k is FF_k Q_k, where
+    FF_k = prod_i ff_i(k_i), ff_i(k) = prod_{j<k} (s_i + m_i - j), and Q_k
+    is free of s.  So the walk carries only the Q layers: the derivative in
+    x_v of layer k is dQ_k/dx_v in the same layer plus Q_k df_i/dx_v one
+    layer up in i, and FF_k multiplies each final layer once.  A state
+    counts sum_k |Q_k| |FF_k| terms, which is sum_k |P_k| since Q_k is
+    s-free.  The operator's monomials are walked in ascending lex order;
+    one state is kept per depth of the current derivative sequence, so a
+    monomial starts from the longest prefix it shares with the one before.
     """
     l = len(fs)
+    table = operator.table
+    one = MultiPolynomial.const(table, 1)
     df_cache = {}
+    ff_cache = {(0,) * l: one}
 
     def df(i, v):
         if (i, v) not in df_cache:
             df_cache[(i, v)] = fs[i].derivative(v)
         return df_cache[(i, v)]
 
+    def ff(kvec):
+        """FF_k, a polynomial in the s_i alone."""
+        if kvec not in ff_cache:
+            i = next(i for i, k in enumerate(kvec) if k)
+            below = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
+            ff_cache[kvec] = ff(below) * (s_polys[i] + (m[i] - below[i]))
+        return ff_cache[kvec]
+
     def one_derivative(state, v):
-        new = {}
-        total = 0  # terms in new, kept while merging so an overshoot stops early
-
-        def bump(key, P):
-            nonlocal total
-            if P:
-                if key in new:
-                    total -= new[key].num_terms()
-                    P = new[key] + P
-                new[key] = P
-                total += P.num_terms()
-                if total > budget.state_terms:
-                    raise BudgetExceededError("state terms", total, budget.state_terms)
-
-        for kvec, P in state.items():
-            bump(kvec, P.derivative(v))
+        targets = {}
+        for kvec in state:
+            targets[kvec] = None
             for i in range(l):
-                dfv = df(i, v)
-                if dfv:
-                    contrib = P * dfv * (s_polys[i] + (m[i] - kvec[i]))
-                    bump(kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], contrib)
-        return {k: P for k, P in new.items() if P}
+                if df(i, v):
+                    targets[kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:]] = None
+        new = {}
+        total = 0  # terms of the finished layers of new
+        acc = Accumulator(table)
+        for kvec in targets:
+            w = ff(kvec).num_terms()
+            limit = (budget.state_terms - total) // w
+            try:
+                if kvec in state:
+                    acc.add_product(state[kvec].derivative(v), one, limit)
+                for i in range(l):
+                    source = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
+                    if source in state:
+                        acc.add_product(state[source], df(i, v), limit)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError("state terms", total + exc.actual * w, budget.state_terms) from None
+            Q = acc.result()
+            if Q:
+                new[kvec] = Q
+                total += Q.num_terms() * w
+        return new
 
-    one = MultiPolynomial.const(operator.table, 1)
     final = {}
+    path, states = (), [{(0,) * l: one}]
     for exp, coef in operator.monomials():
-        state = {(0,) * l: one}
-        for v, e in enumerate(exp):
-            for _ in range(e):
-                state = one_derivative(state, v)
-        for kvec, P in state.items():
-            contrib = P * coef
-            final[kvec] = final[kvec] + contrib if kvec in final else contrib
-    return {k: P for k, P in final.items() if P}
+        seq = tuple(v for v, e in enumerate(exp) for _ in range(e))
+        shared = 0
+        while shared < min(len(path), len(seq)) and path[shared] == seq[shared]:
+            shared += 1
+        del states[shared + 1:]
+        for v in seq[shared:]:
+            states.append(one_derivative(states[-1], v))
+        path = seq
+        coef = MultiPolynomial.const(table, coef)
+        for kvec, Q in states[-1].items():
+            if kvec not in final:
+                final[kvec] = Accumulator(table)
+            final[kvec].add_product(Q, coef)
+    layers = {}
+    for kvec, acc in final.items():
+        Q = acc.result()
+        if Q:
+            layers[kvec] = Q * ff(kvec)
+    return layers
 
 
 def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> BernsteinResult:
@@ -408,7 +439,8 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     s_polys = [MultiPolynomial.variable(table, name) for name in svars]
     s_idxs = {table.index[name] for name in svars}
 
-    operator = MultiPolynomial.const(table, 1)
+    one = MultiPolynomial.const(table, 1)
+    operator = one
     for fstar, mi in zip(fstars, m):
         operator = operator * fstar ** mi
         if operator.num_terms() > budget.state_terms:
@@ -418,24 +450,20 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     caps = [max(max((kvec[i] for kvec in final), default=0), m[i]) for i in range(l)]
     powers = []
     for i in range(l):
-        pows = [MultiPolynomial.const(table, 1)]
+        pows = [one]
         for _ in range(caps[i]):
             pows.append(pows[-1] * fs[i])
             if pows[-1].num_terms() > budget.state_terms:
                 raise BudgetExceededError("power terms", pows[-1].num_terms(), budget.state_terms)
         powers.append(pows)
 
-    numerator = MultiPolynomial.zero(table)
+    numerator = Accumulator(table)
     for kvec, P in final.items():
-        term = P
-        for i in range(l):
-            term = term * powers[i][caps[i] - kvec[i]]
-        numerator = numerator + term
+        numerator.add_product(P, prod((powers[i][caps[i] - kvec[i]] for i in range(l)), start=one))
         if numerator.num_terms() > budget.state_terms:
             raise BudgetExceededError("numerator terms", numerator.num_terms(), budget.state_terms)
-    denominator = MultiPolynomial.const(table, 1)
-    for i in range(l):
-        denominator = denominator * powers[i][caps[i] - m[i]]
+    numerator = numerator.result()
+    denominator = prod((powers[i][caps[i] - m[i]] for i in range(l)), start=one)
 
     try:
         b_poly = numerator.exact_div(denominator)

@@ -11,6 +11,8 @@ BudgetExceededError instead of carrying into the next variable.
 Coefficients are ints; a Fraction appears only where exact division meets
 a quotient coefficient that is not integral.  Only this module reads the
 key format: other modules go through ``monomials`` and ``from_monomials``.
+Every product and every sum of products runs through one in-place loop,
+``_add_product``; ``Accumulator`` offers it to other modules.
 """
 
 from __future__ import annotations
@@ -197,17 +199,8 @@ class MultiPolynomial:
         if other is None:
             return NotImplemented
         out = {}
-        get = out.get
-        right = list(other.terms.items())
-        for e1, c1 in self.terms.items():
-            for e2, c2 in right:
-                key = e1 + e2
-                out[key] = get(key, 0) + c1 * c2
-        # every key ever summed is still in out, cancelled ones included
-        self.table._check_guard(out)
-        if 0 in out.values():
-            out = {e: c for e, c in out.items() if c}
-        return MultiPolynomial._make(self.table, out)
+        _add_product(out, self.terms, other.terms)
+        return _freeze(self.table, out)
 
     __rmul__ = __mul__
 
@@ -320,3 +313,63 @@ class MultiPolynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+class Accumulator:
+    """A sum of products a * b built in place in one dict.
+
+    Adding a product copies nothing that is already summed.  A key that
+    cancels to zero stays in the dict until ``result()``, so the guard-bit
+    check there sees every key ever summed.
+    """
+
+    __slots__ = ("table", "_terms")
+
+    def __init__(self, table: VarTable):
+        self.table = table
+        self._terms = {}
+
+    def add_product(self, a: MultiPolynomial, b: MultiPolynomial, limit=None):
+        """Add a * b; past ``limit`` held keys, stop after the current term of ``a``.
+
+        The count includes keys that cancelled to zero, so it bounds the
+        terms of the sum from above.
+        """
+        if a.table is not self.table or b.table is not self.table:
+            raise ShapeError("polynomials from different variable tables")
+        _add_product(self._terms, a.terms, b.terms, limit)
+
+    def num_terms(self):
+        """The number of nonzero terms of the sum so far."""
+        return sum(1 for c in self._terms.values() if c)
+
+    def result(self) -> MultiPolynomial:
+        """The sum as a polynomial; the accumulator starts over empty."""
+        out, self._terms = self._terms, {}
+        return _freeze(self.table, out)
+
+
+def _add_product(out, left, right, limit=None):
+    """Add the product of two term dicts into ``out``, in place.
+
+    Past ``limit`` keys in ``out`` it raises after the current left term.
+    """
+    get = out.get
+    right = list(right.items())
+    for e1, c1 in left.items():
+        for e2, c2 in right:
+            key = e1 + e2
+            out[key] = get(key, 0) + c1 * c2
+        if limit is not None and len(out) > limit:
+            raise BudgetExceededError("state terms", len(out), limit)
+
+
+def _freeze(table, out) -> MultiPolynomial:
+    """Wrap a sum of products whose dict still holds every key summed.
+
+    Cancelled keys included, so the guard-bit check sees them all.
+    """
+    table._check_guard(out)
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return MultiPolynomial._make(table, out)

@@ -288,3 +288,20 @@ def test_state_budget_stops_while_the_state_is_built(text, dims):
         oracle_b_function(q, n, invariant_index(q, 1, 4))
     assert info.value.what == "state terms"
     assert info.value.actual < 2 * info.value.limit
+
+
+@pytest.mark.parametrize(
+    "text,dims",
+    [("1->2->3->4", (2, 3, 3, 2)), ("1->2<-3->4", (2, 3, 3, 2)), ("1<-2->3<-4", (2, 3, 3, 2)), ("1<-2<-3<-4", (2, 3, 3, 2))],
+)
+def test_state_budget_stops_inside_a_large_product(text, dims):
+    """The state-terms check also runs between the terms of one product.
+
+    On these chains a single layer contribution has more than 100k terms,
+    so a check after each whole product overshoots to 126k-142k terms.
+    """
+    q, n = instance(text, dims)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle_b_function(q, n, invariant_index(q, 1, 4))
+    assert info.value.what == "state terms"
+    assert info.value.actual < 2 * info.value.limit

@@ -1,0 +1,81 @@
+"""The s-free layer walk of the operator oracle against the s-in-ring walk.
+
+The reference below carries every derivative of prod_i f_i^{s_i + m_i}
+with s inside the polynomial ring: the derivative in x_v of a layer term
+P_k f^{s+m-k} is dP_k/dx_v in layer k plus P_k (s_i + m_i - k_i) df_i/dx_v
+in layer k + e_i.  It uses only public ``MultiPolynomial`` operations and
+walks every operator monomial from scratch.  ``_operator_layers`` must
+return exactly the same layer dict.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from conftest import instance, random_instance
+from qbfun import Budget, enumerate_invariants
+from qbfun.oracle import _operator_layers, dual_invariant, expand_invariant, variable_table
+from qbfun.poly import MultiPolynomial
+
+
+def reference_layers(operator, fs, m, s_polys):
+    l = len(fs)
+    one = MultiPolynomial.const(operator.table, 1)
+    final = {}
+    for exp, coef in operator.monomials():
+        state = {(0,) * l: one}
+        for v, e in enumerate(exp):
+            for _ in range(e):
+                new = {}
+                for kvec, P in state.items():
+                    new[kvec] = new.get(kvec, 0) + P.derivative(v)
+                    for i in range(l):
+                        up = kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:]
+                        step = P * fs[i].derivative(v) * (s_polys[i] + (m[i] - kvec[i]))
+                        new[up] = new.get(up, 0) + step
+                state = {k: P for k, P in new.items() if P}
+        for kvec, P in state.items():
+            final[kvec] = final.get(kvec, 0) + P * coef
+    return {k: P for k, P in final.items() if P}
+
+
+def check_walks_agree(q, n, invariants, m):
+    """Compare both walks on operator prod_i f_i*^{m_i} over prod_i f_i^{s_i + m_i}."""
+    svars = ("s",) if len(invariants) == 1 else tuple(f"s{i}" for i in range(1, len(invariants) + 1))
+    table = variable_table(q, n, svars)
+    fs = [expand_invariant(q, n, idx, table) for idx in invariants]
+    operator = MultiPolynomial.const(table, 1)
+    for idx, mi in zip(invariants, m):
+        operator = operator * dual_invariant(q, n, idx, table) ** mi
+    s_polys = [MultiPolynomial.variable(table, name) for name in svars]
+    layers = _operator_layers(operator, fs, m, s_polys, Budget())
+    assert layers == reference_layers(operator, fs, m, s_polys)
+    assert layers
+
+
+@pytest.mark.parametrize("text", ["1->2", "1<-2"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_layers_match_reference_on_square_determinants(text, size):
+    q, n = instance(text, (size, size))
+    for idx in enumerate_invariants(q, n):
+        check_walks_agree(q, n, [idx], (1,))
+
+
+@pytest.mark.parametrize("text", ["1->2->3", "1->2<-3", "1<-2->3", "1<-2<-3"])
+def test_layers_match_reference_on_three_vertex_chains(text):
+    for dims in itertools.product((1, 2, 3), repeat=3):
+        q, n = instance(text, dims)
+        for idx in enumerate_invariants(q, n):
+            check_walks_agree(q, n, [idx], (1,))
+
+
+@pytest.mark.parametrize("m", [(1,), (1, 1), (2, 1)])
+def test_layers_match_reference_on_random_instances(m):
+    rng = random.Random(91)
+    checked = 0
+    while checked < 6:
+        q, n, invs = random_instance(rng, rmax=4, nmax=2)
+        if len(invs) == len(m):
+            check_walks_agree(q, n, invs, m)
+            checked += 1

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from qbfun.errors import BudgetExceededError, DiagnosticError, QbfunError
-from qbfun.poly import MAX_EXPONENT, MultiPolynomial, VarTable
+from qbfun.errors import BudgetExceededError, DiagnosticError, QbfunError, ShapeError
+from qbfun.poly import MAX_EXPONENT, Accumulator, MultiPolynomial, VarTable
 
 NAMES = ("x", "y", "z")
 TABLE = VarTable(NAMES)
@@ -250,3 +250,69 @@ def test_key_format_stays_inside_poly():
     src = Path(__file__).resolve().parent.parent / "src" / "qbfun"
     readers = [path.name for path in sorted(src.glob("*.py")) if path.name != "poly.py" and ".terms" in path.read_text()]
     assert readers == []
+
+
+# -- the accumulator ------------------------------------------------------------------
+
+def test_accumulator_matches_sum_of_products():
+    rng = random.Random(76)
+    for _ in range(CASES // 3):
+        pairs = [(random_reference(rng), random_reference(rng)) for _ in range(rng.randint(0, 4))]
+        acc = Accumulator(TABLE)
+        expected, ref = MultiPolynomial.zero(TABLE), {}
+        for a, b in pairs:
+            acc.add_product(packed(a), packed(b))
+            expected = expected + packed(a) * packed(b)
+            ref = ref_add(ref, ref_mul(a, b))
+        total = acc.result()
+        assert total == expected
+        assert unpacked(total) == ref
+        assert acc.result().is_zero()  # result() leaves the accumulator empty
+
+
+def test_accumulator_total_cancellation_is_zero():
+    a, b = X * 3 + Y * Z - 2, X - Z ** 2
+    acc = Accumulator(TABLE)
+    acc.add_product(a, b)
+    acc.add_product(-a, b)
+    assert acc.num_terms() == 0
+    total = acc.result()
+    assert total.is_zero() and total == 0 and total.num_terms() == 0
+
+
+def test_accumulator_keeps_fraction_coefficients():
+    acc = Accumulator(TABLE)
+    acc.add_product(X * Fraction(1, 2), Y * Fraction(2, 3))
+    acc.add_product(X, Y * Fraction(-1, 3) + Fraction(1, 4))
+    assert acc.result().monomials() == [((1, 0, 0), Fraction(1, 4))]
+
+
+def test_accumulator_rejects_another_table():
+    other = MultiPolynomial.variable(VarTable(NAMES), "x")
+    acc = Accumulator(TABLE)
+    for a, b in ((X, other), (other, X)):
+        with pytest.raises(ShapeError):
+            acc.add_product(a, b)
+
+
+def test_accumulator_guards_every_key_summed():
+    top = X ** MAX_EXPONENT
+    acc = Accumulator(TABLE)
+    acc.add_product(top, X + 1)
+    acc.add_product(-top, X)  # the overflowing key cancels, yet was summed
+    with pytest.raises(BudgetExceededError) as info:
+        acc.result()
+    assert info.value.what == "exponent" and info.value.actual == MAX_EXPONENT + 1
+
+
+def test_accumulator_limit_stops_after_one_left_term():
+    a = sum((X ** k for k in range(5)), MultiPolynomial.zero(TABLE))
+    b = Y + 1
+    acc = Accumulator(TABLE)
+    acc.add_product(a, b, limit=10)  # exactly at the limit is fine
+    assert acc.num_terms() == 10
+    acc = Accumulator(TABLE)
+    with pytest.raises(BudgetExceededError) as info:
+        acc.add_product(a, b, limit=3)
+    assert info.value.what == "state terms"
+    assert (info.value.actual, info.value.limit) == (4, 3)
