@@ -39,12 +39,12 @@ class LinearForm:
     def value(self, s) -> Fraction:
         return sum((Fraction(c) * Fraction(x) for c, x in zip(self.coeffs, s)), Fraction(self.constant))
 
-    def label_text(self, svar: str = "s") -> str:
+    def label_text(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs, start=1):
             if c == 0:
                 continue
-            name = svar if len(self.coeffs) == 1 else f"{svar}{i}"
+            name = "s" if len(self.coeffs) == 1 else f"s{i}"
             parts.append(name if c == 1 else f"{c}*{name}")
         if self.constant or not parts:
             parts.append(str(self.constant))
@@ -207,12 +207,13 @@ def b_from_fset(fs: FSet) -> FactoredBFunction:
     return FactoredBFunction.one_variable(constants)
 
 
-def merge_columns(fsets, labels=None):
+def merge_columns(fsets):
     """Merge the columns of several F-sets into multi-variable linear forms.
 
     Yields (k, form) for columns k = 2..r, each column's forms ordered by
     constant term.  At each column, forms with equal constant term are
     combined by summing their label variables; empty columns are ignored.
+    The F-sets carry the labels 1..l in order.
     On edge k-1 of a diagram a constant names exactly one arrow, so this
     is also the merge of the F-sets' exact diagrams arrow by arrow.
     """
@@ -222,19 +223,13 @@ def merge_columns(fsets, labels=None):
     r = fsets[0].r
     if any(fs.r != r for fs in fsets):
         raise ShapeError("all F-sets must share the column count")
-    if labels is None:
-        labels = tuple(range(1, len(fsets) + 1))
-    labels = tuple(labels)
-    if len(labels) != len(fsets):
-        raise ShapeError("need one label per F-set")
-    num_labels = max(labels)
     for k in range(2, r + 1):
         by_constant = {}
-        for fs, label in zip(fsets, labels):
+        for label, fs in enumerate(fsets, start=1):
             for c in fs.members(k):
                 by_constant.setdefault(c, []).append(label)
         for c in sorted(by_constant):
-            coeffs = [0] * num_labels
+            coeffs = [0] * len(fsets)
             for label in by_constant[c]:
                 if coeffs[label - 1]:
                     raise DiagnosticError(
@@ -244,9 +239,9 @@ def merge_columns(fsets, labels=None):
             yield k, LinearForm(tuple(coeffs), c)
 
 
-def superpose(fsets, labels=None) -> tuple[LinearForm, ...]:
+def superpose(fsets) -> tuple[LinearForm, ...]:
     """The merged forms of merge_columns, concatenated over columns."""
-    return tuple(form for _, form in merge_columns(fsets, labels))
+    return tuple(form for _, form in merge_columns(fsets))
 
 
 def invariant_fsets(q: QuiverA, n: DimVector) -> list[FSet]:

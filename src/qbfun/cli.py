@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure (a failed check, or an
 operator identity that does not close), 2 parse and input errors
-(including a --pq or --dims that does not fit the quiver), 3 mathematical
-errors (e.g. a pair that labels no invariant), 4 oracle budget exceeded,
-5 a file could not be written.
+(including a --pq or --dims that does not fit the quiver, and a --multi
+that does not fit its invariants), 3 mathematical errors (e.g. a pair
+that labels no invariant), 4 oracle budget exceeded, 5 a file could not
+be written.
 """
 
 from __future__ import annotations
@@ -206,9 +207,22 @@ def _cmd_slice(args):
     return 0
 
 
+def _shifts(q, n, text):
+    """The --multi shifts, validated as input: one non-negative integer per invariant."""
+    try:
+        shifts = tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise QuiverParseError(f"cannot parse shifts {text!r}") from exc
+    count = len(enumerate_invariants(q, n))
+    if len(shifts) != count or min(shifts) < 0:
+        raise QuiverParseError(f"--multi needs {count} non-negative integers, one per invariant, got {text!r}")
+    return shifts
+
+
 def _cmd_verify(args):
     q, n, idx = _instance(args)
-    budget = Budget.parse(args.budget) if args.budget else Budget.from_env()
+    budget = Budget.parse(args.budget) if args.budget is not None else Budget.from_env()
+    shifts = None if args.multi is None else _shifts(q, n, args.multi)
     targets = [idx] if idx is not None else enumerate_invariants(q, n)
     checks = []
     for idx in targets:
@@ -226,17 +240,13 @@ def _cmd_verify(args):
         if args.grad:
             verdict = grad_log_check(q, n, idx)
             checks.append({"check": f"grad-log({idx.p},{idx.q})", "ok": verdict.ok})
-    if args.multi:
-        try:
-            shifts = tuple(int(tok) for tok in args.multi.split(","))
-        except ValueError as exc:
-            raise QuiverParseError(f"cannot parse shifts {args.multi!r}") from exc
+    if shifts is not None:
         result = apply_bernstein_multi(q, n, shifts, budget)
         checks.append(
             {"check": f"bernstein-multi{shifts}", "ok": result.ok, "normalization": str(result.constant)}
         )
     if args.afun:
-        verdict = a_function_check(q, n, budget)
+        verdict = a_function_check(q, n)
         checks.append({"check": "a-function", "ok": verdict.ok})
     all_ok = all(item["ok"] for item in checks)
     if args.format == "text":

@@ -57,12 +57,8 @@ class LaceDiagram:
         return LaceDiagram(self.columns, tuple(conns))
 
 
-def _columns(n) -> tuple[int, ...]:
-    return tuple(n.entries) if isinstance(n, DimVector) else tuple(n)
-
-
 def empty_diagram(q: QuiverA, n) -> LaceDiagram:
-    cols = _columns(n)
+    cols = tuple(n)
     return LaceDiagram(cols, tuple(frozenset() for _ in q.edges()))
 
 
@@ -92,7 +88,7 @@ def complete_diagram(q: QuiverA, n: DimVector) -> LaceDiagram:
     vanishes on it.
     """
     check_dims(q, n)
-    return LaceDiagram(_columns(n), tuple(_bundle(q, n, a, min(n.at(a), n.at(a + 1))) for a in q.edges()))
+    return LaceDiagram(tuple(n), tuple(_bundle(q, n, a, min(n.at(a), n.at(a + 1))) for a in q.edges()))
 
 
 def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
@@ -106,12 +102,12 @@ def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
     conns = [frozenset() for _ in q.edges()]
     for t, c in _walk(q, n, idx.p):
         conns[t - 2] = _bundle(q, n, t - 1, c)
-    return LaceDiagram(_columns(n), tuple(conns))
+    return LaceDiagram(tuple(n), tuple(conns))
 
 
 def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:
     """0/1 edge matrices: connected dots map basis vector to basis vector."""
-    cols = _columns(n)
+    cols = tuple(n)
     if d.columns != cols:
         raise ShapeError("diagram column sizes do not match the dimension vector")
     mats = []

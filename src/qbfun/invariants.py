@@ -189,7 +189,7 @@ class MatrixRep:
 
     @classmethod
     def build(cls, q: QuiverA, dims, mats) -> "MatrixRep":
-        dims = tuple(dims.entries) if isinstance(dims, DimVector) else tuple(dims)
+        dims = tuple(dims)
         mats = tuple(linalg.mat(m) for m in mats)
         rep = cls(dims, mats)
         for a in q.edges():
@@ -201,13 +201,13 @@ class MatrixRep:
 
     @classmethod
     def zero(cls, q: QuiverA, n) -> "MatrixRep":
-        dims = tuple(n.entries) if isinstance(n, DimVector) else tuple(n)
+        dims = tuple(n)
         mats = [linalg.zeros(dims[q.head(a) - 1], dims[q.tail(a) - 1]) for a in q.edges()]
         return cls.build(q, dims, mats)
 
     @classmethod
     def random(cls, q: QuiverA, n, rng, lo: int = -3, hi: int = 3) -> "MatrixRep":
-        dims = tuple(n.entries) if isinstance(n, DimVector) else tuple(n)
+        dims = tuple(n)
         mats = [
             [[rng.randint(lo, hi) for _ in range(dims[q.tail(a) - 1])] for _ in range(dims[q.head(a) - 1])]
             for a in q.edges()

@@ -89,7 +89,7 @@ def format_bfun_text(b: FactoredBFunction) -> str:
             parts.append(f"(s+{form.constant}){power}")
         else:
             length = "+".join(f"m{i}" for i in form.support)
-            parts.append(f"[{form.label_text('s')}]_{{{length}}}{power}")
+            parts.append(f"[{form.label_text()}]_{{{length}}}{power}")
     return "".join(parts) if b.num_labels == 1 else " ".join(parts)
 
 

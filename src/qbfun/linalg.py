@@ -23,12 +23,12 @@ def mat(rows):
     return tuple([tuple(row) for row in rows])
 
 
-def zeros(m, n, zero=0):
-    return tuple((zero,) * n for _ in range(m))
+def zeros(m, n):
+    return tuple((0,) * n for _ in range(m))
 
 
-def identity(n, one=1, zero=0):
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def shape(a):

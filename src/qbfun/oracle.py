@@ -32,7 +32,6 @@ from .invariants import (
     block_spec,
     block_structure,
     character_exponents,
-    check_invariant,
     enumerate_invariants,
     evaluate_invariant,
     invariant_index,
@@ -92,27 +91,13 @@ def _symbolic_rep(q: QuiverA, n: DimVector, table: VarTable) -> MatrixRep:
     return MatrixRep(tuple(n.entries), tuple(linalg.mat(m) for m in mats))
 
 
-def _symbolic_dual_rep(q: QuiverA, n: DimVector, table: VarTable) -> MatrixRep:
-    """Edge matrices of the reversed quiver in the paired dual variables.
+def _transposed(rep: MatrixRep) -> MatrixRep:
+    """The paired point of the reversed quiver.
 
-    Under the trace pairing the dual coordinate of entry (i, j) of edge a
-    is entry (j, i) of the reversed edge's matrix.
+    Under the trace pairing entry (i, j) of edge a pairs with entry (j, i)
+    of the reversed edge's matrix.
     """
-    mats = []
-    for a in q.edges():
-        mats.append(
-            [
-                [MultiPolynomial.variable(table, f"x{a}_{i}_{j}") for i in range(1, n.at(q.head(a)) + 1)]
-                for j in range(1, n.at(q.tail(a)) + 1)
-            ]
-        )
-    return MatrixRep(tuple(n.entries), tuple(linalg.mat(m) for m in mats))
-
-
-def _is_zero_entry(entry) -> bool:
-    if isinstance(entry, MultiPolynomial):
-        return entry.is_zero()
-    return entry == 0
+    return MatrixRep(rep.dims, tuple(linalg.transpose(m) for m in rep.matrices))
 
 
 def poly_det(rows):
@@ -131,7 +116,7 @@ def poly_det(rows):
                 if mask & bit:
                     continue
                 entry = rows[i][j]
-                if _is_zero_entry(entry):
+                if not entry:
                     continue
                 term = minor * entry
                 if bin(mask >> (j + 1)).count("1") & 1:
@@ -139,27 +124,35 @@ def poly_det(rows):
                 key = mask | bit
                 acc = nxt.get(key)
                 nxt[key] = term if acc is None else acc + term
-        layers = {k: v for k, v in nxt.items() if not _is_zero_entry(v)}
+        layers = {k: v for k, v in nxt.items() if v}
         if not layers:
             return 0
     return layers.get((1 << n) - 1, 0)
 
 
-def expand_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
-    """Fully expanded determinant polynomial of f_{(p,q)}."""
-    budget = budget or Budget()
-    check_invariant(q, n, idx)
-    if table is None:
-        table = variable_table(q, n, ("s",))
-    spec = block_spec(q, n, idx)
+def _block_det(spec, rep: MatrixRep, table: VarTable) -> MultiPolynomial:
+    """Determinant of the block matrix of spec at rep, as a polynomial over table."""
+    value = poly_det(assemble(spec, rep))
+    return value if isinstance(value, MultiPolynomial) else MultiPolynomial.const(table, value)
+
+
+def _expand(spec, rep: MatrixRep, n, table: VarTable, budget: Budget) -> MultiPolynomial:
+    """_block_det within the matrix-size and invariant-terms budgets."""
     size = sum(spec.row_dims(n))
     if size > budget.matrix_size:
         raise BudgetExceededError("matrix size", size, budget.matrix_size)
-    f = poly_det(assemble(spec, _symbolic_rep(q, n, table)))
-    if not isinstance(f, MultiPolynomial):
-        f = MultiPolynomial.const(table, f)
+    f = _block_det(spec, rep, table)
     if f.num_terms() > budget.invariant_terms:
         raise BudgetExceededError("invariant terms", f.num_terms(), budget.invariant_terms)
+    return f
+
+
+def expand_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
+    """Fully expanded determinant polynomial of f_{(p,q)}."""
+    spec = block_spec(q, n, idx)
+    if table is None:
+        table = variable_table(q, n, ("s",))
+    f = _expand(spec, _symbolic_rep(q, n, table), n, table, budget or Budget())
     if f.is_zero():
         raise OracleIdentityError("invariant expanded to zero")
     return f
@@ -171,28 +164,16 @@ def dual_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
     Its character is verified to be the inverse of the primal one; the
     resulting polynomial acts as the operator f*(d/dx).
     """
-    budget = budget or Budget()
-    check_invariant(q, n, idx)
-    if table is None:
-        table = variable_table(q, n, ("s",))
+    chi = character_exponents(q, n, idx)
     dq = q.dual()
     if not is_invariant(dq, n, idx.p, idx.q):
         raise DiagnosticError(f"({idx.p},{idx.q}) has no dual partner invariant")
     didx = invariant_index(dq, idx.p, idx.q)
-    chi = character_exponents(q, n, idx)
-    chi_dual = character_exponents(dq, n, didx)
-    if tuple(-e for e in chi) != chi_dual:
+    if tuple(-e for e in chi) != character_exponents(dq, n, didx):
         raise DiagnosticError("dual invariant character is not the inverse")
-    spec = block_spec(dq, n, didx)
-    size = sum(spec.row_dims(n))
-    if size > budget.matrix_size:
-        raise BudgetExceededError("matrix size", size, budget.matrix_size)
-    fstar = poly_det(assemble(spec, _symbolic_dual_rep(q, n, table)))
-    if not isinstance(fstar, MultiPolynomial):
-        fstar = MultiPolynomial.const(table, fstar)
-    if fstar.num_terms() > budget.invariant_terms:
-        raise BudgetExceededError("invariant terms", fstar.num_terms(), budget.invariant_terms)
-    return fstar
+    if table is None:
+        table = variable_table(q, n, ("s",))
+    return _expand(block_spec(dq, n, didx), _transposed(_symbolic_rep(q, n, table)), n, table, budget or Budget())
 
 
 def _positive_divisors(n: int):
@@ -497,15 +478,10 @@ def grad_log_invariant(q, n, idx, rep=None):
     inverse of the block matrix with the partial products on both sides.
     Returns one Fraction matrix per edge, shaped like the edge matrices.
     """
-    check_invariant(q, n, idx)
+    spec = block_spec(q, n, idx)
     if rep is None:
         rep = generic_point(q, n)
-    spec = block_structure(q, idx.p, idx.q)
-    y = assemble(spec, rep)
-    rows, cols = linalg.shape(y)
-    if rows != cols:
-        raise ShapeError("block matrix is not square")
-    y_inv = linalg.inverse(y)
+    y_inv = linalg.inverse(assemble(spec, rep))
     dims = rep.dims
     row_off, acc = {}, 0
     for v in spec.row_blocks:
@@ -555,15 +531,7 @@ def grad_log_check(q, n, idx) -> GradLogVerdict:
     """Does grad log f at the generic point equal the exact diagram's matrices?"""
     actual = grad_log_invariant(q, n, idx)
     expected = diagram_to_matrices(q, n, exact_diagram(q, n, idx))
-    ok = all(
-        all(
-            Fraction(expected.matrix(a)[i][j]) == actual[a - 1][i][j]
-            for i in range(len(actual[a - 1]))
-            for j in range(len(actual[a - 1][0]) if actual[a - 1] else 0)
-        )
-        for a in q.edges()
-    )
-    return GradLogVerdict(ok, expected, actual)
+    return GradLogVerdict(expected.matrices == actual, expected, actual)
 
 
 @dataclass(frozen=True)
@@ -572,7 +540,7 @@ class AFunctionVerdict:
     details: tuple  # (label, matches) pairs
 
 
-def a_function_check(q, n, budget=None) -> AFunctionVerdict:
+def a_function_check(q, n) -> AFunctionVerdict:
     """Evaluate each dual invariant at grad log of the weighted product.
 
     grad log of prod f_j^{s_j} at the generic point is the superposition
@@ -580,7 +548,6 @@ def a_function_check(q, n, budget=None) -> AFunctionVerdict:
     the dual block matrix and multiplying by f_i at the generic point
     must reproduce the a-function monomial for the i-th unit vector.
     """
-    budget = budget or Budget()
     invariants = enumerate_invariants(q, n)
     l = len(invariants)
     svars = tuple(f"s{i}" for i in range(1, l + 1))
@@ -606,16 +573,12 @@ def a_function_check(q, n, budget=None) -> AFunctionVerdict:
     a0 = generic_point(q, n)
     afun = a_function(q, n)
     dq = q.dual()
-    dual_rep = MatrixRep(tuple(n.entries), tuple(linalg.transpose(mats) for mats in weighted))
+    dual_rep = _transposed(MatrixRep(tuple(n), tuple(weighted)))
 
     details = []
     for label, idx in enumerate(invariants, start=1):
         f_at_a0 = evaluate_invariant(block_spec(q, n, idx), a0)
-        didx = invariant_index(dq, idx.p, idx.q)
-        value = poly_det(assemble(block_structure(dq, idx.p, idx.q), dual_rep))
-        if not isinstance(value, MultiPolynomial):
-            value = MultiPolynomial.const(table, value)
-        actual = value * f_at_a0
+        actual = _block_det(block_structure(dq, idx.p, idx.q), dual_rep, table) * f_at_a0
         expected = MultiPolynomial.const(table, 1)
         for form, exponent in afun.eps_exponents(label):
             base = MultiPolynomial.zero(table)

@@ -125,6 +125,9 @@ class DimVector:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self):
+        return iter(self.entries)
+
     def __str__(self) -> str:
         return ",".join(str(n) for n in self.entries)
 
@@ -170,7 +173,7 @@ def dual(q: QuiverA) -> QuiverA:
 
 
 def _entry_seq(n, r: int):
-    entries = n.entries if isinstance(n, DimVector) else tuple(n)
+    entries = tuple(n)
     if len(entries) != r:
         raise ShapeError(f"vector of length {len(entries)} on a quiver with {r} vertices")
     if not all(map(isinstance, entries, repeat(int))) or min(entries) < 0:

@@ -55,8 +55,7 @@ class RankParameter:
 def rank_parameter(q: QuiverA, n, rep: MatrixRep) -> RankParameter:
     """N_ij = rank of the sink/source map of the subquiver [i, j]; N_ii = n_i."""
     dims = rep.dims
-    expected = tuple(n.entries) if isinstance(n, DimVector) else tuple(n)
-    if dims != expected:
+    if dims != tuple(n):
         raise ShapeError("representation dimensions do not match the dimension vector")
     product = PathProducts(rep)
     rows = []

@@ -239,3 +239,31 @@ def test_one_process_answers_like_fresh_processes(tmp_path, monkeypatch, capsys)
 
     # the errors above left nothing behind
     assert (cli_main(list(requests[0])), capsys.readouterr().out) == expected[0][:2]
+
+
+def _one_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_exit_code_multi_that_does_not_fit(capsys):
+    """--multi needs one non-negative integer per invariant; anything else is an input error."""
+    for shifts in ("1,-1", "1", "", "1,2,3", "1,x"):
+        code = cli_main(["verify", "--quiver", "1->2->3->4", "--dims", "1,2,2,1", "--multi", shifts])
+        captured = capsys.readouterr()
+        assert code == 2, shifts
+        assert captured.out == "" and _one_error_line(captured.err), shifts
+
+
+def test_exit_code_empty_budget_is_an_input_error(monkeypatch, capsys):
+    """An empty --budget is parsed, not replaced by QBFUN_BUDGET."""
+    monkeypatch.setenv("QBFUN_BUDGET", "1")
+    code = cli_main(["verify", "--quiver", "1->2->3->4", "--dims", "1,2,2,1", "--budget", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and _one_error_line(captured.err)
+
+
+def test_verify_multi_that_fits_still_runs(capsys):
+    code, out = run(capsys, "verify", "--quiver", "1->2->3->4", "--dims", "1,2,2,1", "--multi", "1,0")
+    assert code == 0
+    assert json.loads(out)["checks"][-1]["check"] == "bernstein-multi(1, 0)"

@@ -305,3 +305,72 @@ def test_state_budget_stops_inside_a_large_product(text, dims):
         oracle_b_function(q, n, invariant_index(q, 1, 4))
     assert info.value.what == "state terms"
     assert info.value.actual < 2 * info.value.limit
+
+
+def test_dual_invariant_budgets_abort_with_structured_error():
+    """dual_invariant stops at the same matrix-size and invariant-terms budgets as expand_invariant."""
+    q = parse_quiver("1->2")
+    n = DimVector((3, 3))
+    idx = invariant_index(q, 1, 2)
+    with pytest.raises(BudgetExceededError) as info:
+        dual_invariant(q, n, idx, budget=Budget(matrix_size=2))
+    assert info.value.what == "matrix size"
+    with pytest.raises(BudgetExceededError) as info:
+        dual_invariant(q, n, idx, budget=Budget(invariant_terms=2))
+    assert info.value.what == "invariant terms"
+
+
+def test_dual_invariant_is_the_determinant_in_paired_variables():
+    """f* equals the reversed quiver's block determinant with entry (j, i) of edge a set to x_a_i_j."""
+    from qbfun.invariants import MatrixRep, assemble, block_spec
+    from qbfun.oracle import poly_det
+    from qbfun.poly import MultiPolynomial
+
+    rng = random.Random(61)
+    checked = 0
+    for _ in range(12):
+        q, n, invs = random_instance(rng, rmax=4, nmax=2)
+        table = variable_table(q, n, ("s",))
+        paired = MatrixRep.build(
+            q.dual(),
+            n,
+            [
+                [
+                    [MultiPolynomial.variable(table, f"x{a}_{i}_{j}") for i in range(1, n.at(q.head(a)) + 1)]
+                    for j in range(1, n.at(q.tail(a)) + 1)
+                ]
+                for a in q.edges()
+            ],
+        )
+        for idx in invs:
+            try:
+                fstar = dual_invariant(q, n, idx, table)
+            except BudgetExceededError:
+                continue
+            dq = q.dual()
+            want = poly_det(assemble(block_spec(dq, n, invariant_index(dq, idx.p, idx.q)), paired))
+            assert fstar == want
+            checked += 1
+    assert checked >= 10
+
+
+def test_grad_log_check_fails_on_the_wrong_diagram(monkeypatch):
+    """The verdict compares the matrices: the empty diagram is not grad log f."""
+    import qbfun.oracle
+    from qbfun.diagrams import empty_diagram
+
+    q, n = instance("1->2->3", (1, 2, 1))
+    idx = invariant_index(q, 1, 3)
+    assert grad_log_check(q, n, idx).ok
+    monkeypatch.setattr(qbfun.oracle, "exact_diagram", lambda q, n, idx: empty_diagram(q, n))
+    assert not grad_log_check(q, n, idx).ok
+
+
+def test_bernstein_multi_library_shifts_still_shape_errors():
+    """Library callers of apply_bernstein_multi keep the ShapeError for shifts that do not fit."""
+    from qbfun.errors import ShapeError
+
+    q, n = instance("1->2->3->4", (1, 2, 2, 1))
+    for m in ((1,), (1, -1), (1, 2, 3)):
+        with pytest.raises(ShapeError):
+            apply_bernstein_multi(q, n, m)
