@@ -167,7 +167,7 @@ def _cmd_diagram(args):
         output = render_ascii(ld).rstrip("\n")
     else:
         output = render_svg(ld).rstrip("\n")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(output + "\n")
     else:

@@ -14,6 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt, prod
 
 from . import linalg
@@ -232,38 +233,43 @@ class BernsteinResult:
     constant: Fraction  # scalar by which the raw identity differs from monic
 
 
-def _operator_layers(operator, fs, m, s_polys, budget):
-    """Apply operator(d/dx) to prod_i f_i^{s_i + m_i}; return its layers.
+def _falling(m: int, k: int) -> tuple:
+    """Coefficients, s^0 first, of the falling factorial prod_{j<k} (s + m - j)."""
+    coeffs = [1]
+    for j in range(k):
+        coeffs = [(m - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
 
-    The layers map a k-vector to the polynomial P_k multiplying
-    prod_i f_i^{s_i + m_i - k_i}.  Each P_k is FF_k Q_k, where
-    FF_k = prod_i ff_i(k_i), ff_i(k) = prod_{j<k} (s_i + m_i - j), and Q_k
-    is free of s.  So the walk carries only the Q layers: the derivative in
-    x_v of layer k is dQ_k/dx_v in the same layer plus Q_k df_i/dx_v one
-    layer up in i, and FF_k multiplies each final layer once.  A state
-    counts sum_k |Q_k| |FF_k| terms, which is sum_k |P_k| since Q_k is
-    s-free.  The operator's monomials are walked in ascending lex order;
-    one state is kept per depth of the current derivative sequence, so a
-    monomial starts from the longest prefix it shares with the one before.
+
+def _operator_layers(operator, fs, m, budget):
+    """Apply operator(d/dx) to prod_i f_i^{s_i + m_i}; return its s-free layers.
+
+    The result is sum_k FF_k Q_k prod_i f_i^{s_i + m_i - k_i}, where
+    FF_k = prod_i prod_{j<k_i} (s_i + m_i - j) and Q_k is free of s; the
+    layers map each k-vector to its Q_k.  The derivative in x_v of layer k
+    is dQ_k/dx_v in the same layer plus Q_k df_i/dx_v one layer up in i,
+    so s never enters the walk.  A state counts sum_k |Q_k| |FF_k| terms,
+    the size of the same state with s in the ring.  The operator's
+    monomials are walked in ascending lex order; one state is kept per
+    depth of the current derivative sequence, so a monomial starts from
+    the longest prefix it shares with the one before.
     """
     l = len(fs)
     table = operator.table
     one = MultiPolynomial.const(table, 1)
     df_cache = {}
-    ff_cache = {(0,) * l: one}
+    weights = {}
 
     def df(i, v):
         if (i, v) not in df_cache:
             df_cache[(i, v)] = fs[i].derivative(v)
         return df_cache[(i, v)]
 
-    def ff(kvec):
-        """FF_k, a polynomial in the s_i alone."""
-        if kvec not in ff_cache:
-            i = next(i for i, k in enumerate(kvec) if k)
-            below = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
-            ff_cache[kvec] = ff(below) * (s_polys[i] + (m[i] - below[i]))
-        return ff_cache[kvec]
+    def weight(kvec):
+        """|FF_k|: the falling factorials are in distinct s_i, so their term counts multiply."""
+        if kvec not in weights:
+            weights[kvec] = prod(sum(1 for c in _falling(mi, ki) if c) for mi, ki in zip(m, kvec))
+        return weights[kvec]
 
     def one_derivative(state, v):
         targets = {}
@@ -276,7 +282,7 @@ def _operator_layers(operator, fs, m, s_polys, budget):
         total = 0  # terms of the finished layers of new
         acc = Accumulator(table)
         for kvec in targets:
-            w = ff(kvec).num_terms()
+            w = weight(kvec)
             limit = (budget.state_terms - total) // w
             try:
                 if kvec in state:
@@ -309,55 +315,70 @@ def _operator_layers(operator, fs, m, s_polys, budget):
             if kvec not in final:
                 final[kvec] = Accumulator(table)
             final[kvec].add_product(Q, coef)
-    layers = {}
-    for kvec, acc in final.items():
-        Q = acc.result()
-        if Q:
-            layers[kvec] = Q * ff(kvec)
-    return layers
+    layers = {kvec: acc.result() for kvec, acc in final.items()}
+    return {kvec: Q for kvec, Q in layers.items() if Q}
+
+
+def _bernstein_b(operator, fs, m, budget) -> dict:
+    """b(s) of operator(d/dx) prod_i f_i^{s_i + m_i} = b(s) prod_i f_i^{s_i}, from the layers.
+
+    FF_k has leading monomial s^k, so the FF_k are linearly independent
+    over the rational functions in x.  Dividing the operator output by
+    prod_i f_i^{s_i} gives sum_k FF_k Q_k prod_i f_i^{m_i - k_i}, which is
+    free of x iff every Q_k is a constant beta_k times prod_i f_i^{k_i - m_i};
+    a layer with some k_i < m_i must therefore vanish.  Then
+    b(s) = sum_k beta_k FF_k(s), returned as {s-exponent tuple: coefficient}.
+    """
+    powers = {(0,) * len(fs): MultiPolynomial.const(operator.table, 1)}
+
+    def power(evec):
+        """prod_i f_i^{e_i}; each power is one f_i times a shared smaller one.
+
+        A loop, not recursion: a closure that calls itself is a reference
+        cycle, which would keep the powers alive until the cyclic collector runs.
+        """
+        key = (0,) * len(evec)
+        for i, e in enumerate(evec):
+            for _ in range(e):
+                below, key = key, key[:i] + (key[i] + 1,) + key[i + 1:]
+                if key not in powers:
+                    P = powers[below] * fs[i]
+                    if P.num_terms() > budget.state_terms:
+                        raise BudgetExceededError("power terms", P.num_terms(), budget.state_terms)
+                    powers[key] = P
+        return powers[key]
+
+    b = {}
+    for kvec, Q in _operator_layers(operator, fs, m, budget).items():
+        evec = tuple(k - mi for k, mi in zip(kvec, m))
+        if min(evec, default=0) < 0:
+            raise OracleIdentityError(f"layer {kvec} below the shifts {tuple(m)} does not vanish")
+        try:
+            beta = Q.exact_div(power(evec)).constant_value()
+        except (DiagnosticError, ShapeError) as exc:
+            raise OracleIdentityError(f"layer {kvec} is not a constant times the invariant powers") from exc
+        for terms in product(*(enumerate(_falling(mi, ki)) for mi, ki in zip(m, kvec))):
+            exps = tuple(e for e, _ in terms)
+            b[exps] = b.get(exps, 0) + beta * prod(c for _, c in terms)
+    return {exps: c for exps, c in b.items() if c}
 
 
 def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> BernsteinResult:
     """Apply f*(d/dx) to f^{s+1} and extract the monic b-function.
 
-    The derivative layers P_k (coefficients of f^{s+1-k}) are collapsed
-    by the exact-division chain T_d = P_d, T_{k-1} = P_{k-1} + T_k / f;
-    when every division is exact and T_1 is free of matrix variables,
-    the identity f*(d/dx) f^{s+1} = T_1(s) f^s holds on the nose.
+    The identity f*(d/dx) f^{s+1} = b(s) f^s holds on the nose iff each
+    s-free layer Q_k is a constant beta_k times f^{k-1} (see _bernstein_b);
+    then b(s) = sum_k beta_k (s+1) s ... (s+2-k).
     """
     budget = budget or Budget()
-    table = f.table
-    if fstar.table is not table:
+    if fstar.table is not f.table:
         raise ShapeError("operator and invariant use different variable tables")
     d = f.total_degree()
     if fstar.total_degree() != d:
         raise ShapeError(f"operator degree {fstar.total_degree()} != invariant degree {d}")
     if d == 0:
         raise ShapeError("invariant is constant")
-    s_idx = table.index["s"]
-    if any(e[s_idx] for g in (f, fstar) for e, _ in g.monomials()):
-        raise ShapeError("invariant polynomials must not involve s")
-    layers = _operator_layers(fstar, [f], (1,), [MultiPolynomial.variable(table, "s")], budget)
-    final = {k: P for (k,), P in layers.items()}
-    if 0 in final:
-        raise OracleIdentityError("derivative layers retain an underived component")
-
-    T = final.get(d, MultiPolynomial.zero(table))
-    for k in range(d, 1, -1):
-        try:
-            T = T.exact_div(f)
-        except DiagnosticError as exc:
-            raise OracleIdentityError(f"layer {k} is not divisible by the invariant") from exc
-        if k - 1 in final:
-            T = T + final[k - 1]
-        if T.num_terms() > budget.state_terms:
-            raise BudgetExceededError("state terms", T.num_terms(), budget.state_terms)
-
-    coeffs = {}
-    for e, c in T.monomials():
-        if any(k for i, k in enumerate(e) if i != s_idx):
-            raise OracleIdentityError("extracted b-function still involves matrix variables")
-        coeffs[e[s_idx]] = c
+    coeffs = {k: c for (k,), c in _bernstein_b(fstar, [f], (1,), budget).items()}
     b, lead = _factor_b(coeffs, d)
     return BernsteinResult(b, lead)
 
@@ -365,7 +386,7 @@ def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> 
 def oracle_b_function(q, n, idx, budget=None) -> BernsteinResult:
     """Expand f and f* and run the operator identity for one invariant."""
     budget = budget or Budget()
-    table = variable_table(q, n, ("s",))
+    table = variable_table(q, n)
     f = expand_invariant(q, n, idx, table, budget)
     fstar = dual_invariant(q, n, idx, table, budget)
     return apply_bernstein(fstar, f, budget)
@@ -402,9 +423,9 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     """Verify the several-variable operator identity at integer shifts m.
 
     Applies the product of dual invariants (each to its power m_i) to the
-    product of f_i^{s_i + m_i}, collapses the layer polynomials with a
-    single exact division, and compares with the superposition engine's
-    bracket product expanded at the same m.
+    product of f_i^{s_i + m_i}, reads b(s) off the layers (_bernstein_b),
+    and compares with the superposition engine's bracket product expanded
+    at the same m.
     """
     budget = budget or Budget()
     invariants = enumerate_invariants(q, n)
@@ -413,48 +434,20 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         raise ShapeError(f"need {l} shifts, got {len(m)}")
     if any(not isinstance(k, int) or k < 0 for k in m):
         raise ShapeError("shifts must be non-negative integers")
-    svars = tuple(f"s{i}" for i in range(1, l + 1))
-    table = variable_table(q, n, svars)
+    table = variable_table(q, n)
     fs = [expand_invariant(q, n, idx, table, budget) for idx in invariants]
     fstars = [dual_invariant(q, n, idx, table, budget) for idx in invariants]
-    s_polys = [MultiPolynomial.variable(table, name) for name in svars]
-    s_idxs = {table.index[name] for name in svars}
 
-    one = MultiPolynomial.const(table, 1)
-    operator = one
+    operator = MultiPolynomial.const(table, 1)
     for fstar, mi in zip(fstars, m):
         operator = operator * fstar ** mi
         if operator.num_terms() > budget.state_terms:
             raise BudgetExceededError("operator terms", operator.num_terms(), budget.state_terms)
-    final = _operator_layers(operator, fs, m, s_polys, budget)
+    stable = VarTable(f"s{i}" for i in range(1, l + 1))
+    b_terms = _bernstein_b(operator, fs, m, budget)
+    b_poly = MultiPolynomial.from_monomials(stable, b_terms.items())
 
-    caps = [max(max((kvec[i] for kvec in final), default=0), m[i]) for i in range(l)]
-    powers = []
-    for i in range(l):
-        pows = [one]
-        for _ in range(caps[i]):
-            pows.append(pows[-1] * fs[i])
-            if pows[-1].num_terms() > budget.state_terms:
-                raise BudgetExceededError("power terms", pows[-1].num_terms(), budget.state_terms)
-        powers.append(pows)
-
-    numerator = Accumulator(table)
-    for kvec, P in final.items():
-        numerator.add_product(P, prod((powers[i][caps[i] - kvec[i]] for i in range(l)), start=one))
-        if numerator.num_terms() > budget.state_terms:
-            raise BudgetExceededError("numerator terms", numerator.num_terms(), budget.state_terms)
-    numerator = numerator.result()
-    denominator = prod((powers[i][caps[i] - m[i]] for i in range(l)), start=one)
-
-    try:
-        b_poly = numerator.exact_div(denominator)
-    except DiagnosticError as exc:
-        raise OracleIdentityError("operator output is not a multiple of the invariant powers") from exc
-    b_terms = dict(b_poly.monomials())
-    if any(k for e in b_terms for i, k in enumerate(e) if i not in s_idxs):
-        raise OracleIdentityError("extracted b-function still involves matrix variables")
-
-    engine = bracket_product_poly(b_multivariate(q, n), m, table)
+    engine = bracket_product_poly(b_multivariate(q, n), m, stable)
     if engine.is_zero():
         raise OracleIdentityError("engine bracket product is zero")
     lead, lead_coef = engine.monomials()[-1]

@@ -143,6 +143,14 @@ def test_exit_code_unwritable_out(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_exit_code_empty_out_path(capsys):
+    """An empty --out is a path that cannot be opened, not a request for stdout."""
+    code = cli_main(["diagram", "--quiver", "1->2", "--dims", "1,1", "--complete", "--render", "ascii", "--out", ""])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_exit_code_pq_out_of_range(capsys):
     for pq in ("0,9", "2,1", "1,3"):
         assert cli_main(["bfun", "--quiver", "1->2", "--dims", "1,1", "--pq", pq]) == 2

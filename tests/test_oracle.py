@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,8 +21,9 @@ from qbfun import (
     oracle_b_function,
     parse_quiver,
 )
-from qbfun.errors import BudgetExceededError, QuiverParseError
-from qbfun.oracle import grad_log_invariant, variable_table
+from qbfun.errors import BudgetExceededError, OracleIdentityError, QuiverParseError
+from qbfun.oracle import _bernstein_b, apply_bernstein, grad_log_invariant, variable_table
+from qbfun.poly import MultiPolynomial
 
 
 def b_value(b, sigma):
@@ -148,7 +150,7 @@ def test_bernstein_multi_single_label_square():
 def test_bernstein_multi_two_labels():
     q, n = instance("1->2->3->4", (1, 2, 2, 1))
     assert len(enumerate_invariants(q, n)) == 2
-    for shifts in ((1, 0), (0, 1), (1, 1)):
+    for shifts in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)):
         result = apply_bernstein_multi(q, n, shifts)
         assert result.ok, shifts
         assert result.constant == 1
@@ -374,3 +376,74 @@ def test_bernstein_multi_library_shifts_still_shape_errors():
     for m in ((1,), (1, -1), (1, 2, 3)):
         with pytest.raises(ShapeError):
             apply_bernstein_multi(q, n, m)
+
+
+def doubled_lead(g):
+    """g with its lex-leading coefficient doubled."""
+    return g + MultiPolynomial.from_monomials(g.table, g.monomials()[-1:])
+
+
+@pytest.mark.parametrize("text", ["1->2->3", "1->2<-3", "1<-2->3", "1<-2<-3"])
+def test_bernstein_rejects_a_perturbed_operator(text):
+    """A wrong operator fails the layer check; a rescaled one only rescales the constant.
+
+    Doubling the leading coefficient of an f* with several terms breaks
+    f*(d/dx) f^{s+1} = b(s) f^s; for a single-term f* it doubles b.
+    """
+    broken = 0
+    for dims in product((1, 2), repeat=3):
+        q, n = instance(text, dims)
+        table = variable_table(q, n)
+        for idx in enumerate_invariants(q, n):
+            f = expand_invariant(q, n, idx, table)
+            fstar = dual_invariant(q, n, idx, table)
+            if fstar.num_terms() == 1:
+                result = apply_bernstein(doubled_lead(fstar), f)
+                assert result.b == b_one_variable(q, n, idx)
+                assert result.constant == 2 * apply_bernstein(fstar, f).constant
+            else:
+                with pytest.raises(OracleIdentityError):
+                    apply_bernstein(doubled_lead(fstar), f)
+                broken += 1
+    assert broken >= 4
+
+
+def test_bernstein_multi_rejects_a_perturbed_operator(monkeypatch):
+    """Both duals on this chain have several terms, so doubling their leads breaks every shifted identity."""
+    import qbfun.oracle
+
+    q, n = instance("1->2->3->4", (1, 2, 2, 1))
+    real = qbfun.oracle.dual_invariant
+    monkeypatch.setattr(qbfun.oracle, "dual_invariant", lambda *args, **kw: doubled_lead(real(*args, **kw)))
+    for shifts in ((1, 0), (0, 1), (1, 1), (2, 1)):
+        with pytest.raises(OracleIdentityError):
+            apply_bernstein_multi(q, n, shifts)
+
+
+def test_layers_below_the_shifts_must_vanish():
+    """An operator that leaves some f_i^{s_i + m_i} underived fails the layer check.
+
+    f1*(d/dx) applied to f1^{s1+1} f2^{s2+1} keeps f2 at power s2 + 1, and
+    the identity operator keeps f1 at s1 + 1; neither lowers every power.
+    """
+    q, n = instance("1->2->3->4", (1, 2, 2, 1))
+    table = variable_table(q, n)
+    invs = enumerate_invariants(q, n)
+    f1, f2 = (expand_invariant(q, n, idx, table) for idx in invs)
+    fstar1 = dual_invariant(q, n, invs[0], table)
+    with pytest.raises(OracleIdentityError, match="below the shifts"):
+        _bernstein_b(fstar1, [f1, f2], (1, 1), Budget())
+    with pytest.raises(OracleIdentityError, match="below the shifts"):
+        _bernstein_b(MultiPolynomial.const(table, 1), [f1], (1,), Budget())
+    assert _bernstein_b(fstar1, [f1, f2], (1, 0), Budget()) == dict(apply_bernstein_multi(q, n, (1, 0)).b.monomials())
+
+
+@pytest.mark.parametrize(
+    "text,dims,pq,actual", [("1->2", (5, 5), (1, 2), 20022), ("1->2->3->4", (2, 3, 3, 2), (1, 4), 20018)]
+)
+def test_state_terms_count_the_layers_with_s_expanded(text, dims, pq, actual):
+    """A state term is a term of FF_k Q_k: |FF_k| counts only the nonzero coefficients of FF_k."""
+    q, n = instance(text, dims)
+    with pytest.raises(BudgetExceededError) as info:
+        oracle_b_function(q, n, invariant_index(q, *pq))
+    assert (info.value.what, info.value.actual, info.value.limit) == ("state terms", actual, 20000)

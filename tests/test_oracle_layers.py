@@ -4,8 +4,10 @@ The reference below carries every derivative of prod_i f_i^{s_i + m_i}
 with s inside the polynomial ring: the derivative in x_v of a layer term
 P_k f^{s+m-k} is dP_k/dx_v in layer k plus P_k (s_i + m_i - k_i) df_i/dx_v
 in layer k + e_i.  It uses only public ``MultiPolynomial`` operations and
-walks every operator monomial from scratch.  ``_operator_layers`` must
-return exactly the same layer dict.
+walks every operator monomial from scratch.  ``_operator_layers`` returns
+the s-free Q_k of each layer; multiplied by
+FF_k = prod_i prod_{j<k_i} (s_i + m_i - j), built here from the s
+variables, they must give exactly the reference layer dict.
 """
 
 import itertools
@@ -49,7 +51,12 @@ def check_walks_agree(q, n, invariants, m):
     for idx, mi in zip(invariants, m):
         operator = operator * dual_invariant(q, n, idx, table) ** mi
     s_polys = [MultiPolynomial.variable(table, name) for name in svars]
-    layers = _operator_layers(operator, fs, m, s_polys, Budget())
+    layers = {}
+    for kvec, Q in _operator_layers(operator, fs, m, Budget()).items():
+        for s_i, m_i, k_i in zip(s_polys, m, kvec):
+            for j in range(k_i):
+                Q = Q * (s_i + (m_i - j))
+        layers[kvec] = Q
     assert layers == reference_layers(operator, fs, m, s_polys)
     assert layers
 
