@@ -226,45 +226,8 @@ def act(q: QuiverA, g, rep: MatrixRep) -> MatrixRep:
     return MatrixRep.build(q, rep.dims, mats)
 
 
-class PathProducts:
-    """Products of edge paths at one point, each multiplied out once.
-
-    A path lists its edges left factor first, as BlockMatrixSpec.entries
-    does.  A product is built from the path without its highest edge: a
-    rightward run's path falls, so that edge is the left factor, and a
-    leftward run's path rises, so it is the right one.  Either way the run
-    [s, e] costs one product once the run [s, e - 1] is known.  Products
-    are filed under the path's lowest edge, and forget(v) drops the runs
-    that start at vertex v.
-    """
-
-    def __init__(self, rep: MatrixRep):
-        self.rep = rep
-        self.by_low = {}
-
-    def __call__(self, path):
-        table = self.by_low.setdefault(min(path[0], path[-1]), {})
-        block = table.get(path)
-        if block is None:
-            if len(path) == 1:
-                block = self.rep.matrix(path[0])
-            elif path[0] > path[-1]:
-                block = linalg.mat_mul(self.rep.matrix(path[0]), self(path[1:]))
-            else:
-                block = linalg.mat_mul(self(path[:-1]), self.rep.matrix(path[-1]))
-            table[path] = block
-        return block
-
-    def forget(self, v: int) -> None:
-        self.by_low.pop(v, None)
-
-
-def assemble(spec: BlockMatrixSpec, rep: MatrixRep, product=None):
-    """Instantiate the block matrix at a concrete representation.
-
-    product, if given, maps an edge path to its matrix product (see
-    PathProducts); otherwise each block is multiplied out on its own.
-    """
+def assemble(spec: BlockMatrixSpec, rep: MatrixRep):
+    """Instantiate the block matrix at a concrete representation."""
     dims = rep.dims
     row_dims = [dims[v - 1] for v in spec.row_blocks]
     col_dims = [dims[v - 1] for v in spec.col_blocks]
@@ -273,7 +236,7 @@ def assemble(spec: BlockMatrixSpec, rep: MatrixRep, product=None):
     total_rows, total_cols = sum(row_dims), sum(col_dims)
     out = [[0] * total_cols for _ in range(total_rows)]
     for (sigma, tau), path in spec.entries.items():
-        block = product(path) if product else linalg.mat_chain([rep.matrix(e) for e in path])
+        block = linalg.mat_chain([rep.matrix(e) for e in path])
         r0, c0 = row_off[sigma], col_off[tau]
         for i, row in enumerate(block):
             out[r0 + i][c0 : c0 + len(row)] = row

@@ -123,22 +123,26 @@ def _det_bareiss(a):
 
 
 def rank(a):
-    """Exact rank by fraction-free elimination on sparse integer rows.
-
-    Each row is reduced against the pivot rows found so far, keyed by
-    their leading column, until it vanishes or leads in a new column.
-    A step cross-multiplies by the two leading entries over their gcd
-    and divides the result by the gcd of its entries, so only nonzero
-    entries are touched and integers stay small.  A row is lifted to
-    integers only if it holds an entry that is not an int.
-    """
+    """Exact rank of a dense matrix; see sparse_rank."""
     if len(set(map(len, a))) > 1:
         raise ShapeError("rank of a ragged matrix")
+    return sparse_rank(dict(compress(enumerate(row), row)) for row in a)
+
+
+def sparse_rank(rows):
+    """Exact rank of the rows {column: entry}, by fraction-free elimination.
+
+    Zero entries are ignored and the given dicts are left unchanged.  Each
+    row is reduced against the pivot rows found so far, keyed by their
+    leading column, until it vanishes or leads in a new column.  A step
+    cross-multiplies by the two leading entries over their gcd and divides
+    the result by the gcd of its entries, so only nonzero entries are
+    touched and integers stay small.  A row is lifted to integers only if
+    it holds an entry that is not an int.
+    """
     pivots = {}
-    for row in a:
-        if not any(row):
-            continue
-        v = dict(compress(enumerate(row), row))
+    for row in rows:
+        v = {j: x for j, x in row.items() if x}
         if not all(map(isinstance, v.values(), repeat(int))):
             v = dict(zip(v, _lift(v.values())[0]))
         while v:

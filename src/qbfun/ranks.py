@@ -21,9 +21,6 @@ from .errors import DiagnosticError, ShapeError
 from .invariants import (
     InvariantIndex,
     MatrixRep,
-    PathProducts,
-    assemble,
-    block_structure,
     check_invariant,
     invariant_index,
     is_invariant,
@@ -55,17 +52,83 @@ class RankParameter:
 def rank_parameter(q: QuiverA, n, rep: MatrixRep) -> RankParameter:
     """N_ij = rank of the sink/source map of the subquiver [i, j]; N_ii = n_i."""
     dims = rep.dims
-    if dims != tuple(n):
-        raise ShapeError("representation dimensions do not match the dimension vector")
-    product = PathProducts(rep)
+    if dims != tuple(n) or len(dims) != q.r:
+        raise ShapeError("representation dimensions do not match the quiver or the dimension vector")
+    for a in q.edges():
+        m, rows, cols = rep.matrix(a), dims[q.head(a) - 1], dims[q.tail(a) - 1]
+        if len(m) != rows or any(len(row) != cols for row in m):
+            raise ShapeError(f"edge {a}: matrix is not {rows}x{cols}")
+    mats = _edge_rows(q, rep)
     rows = []
-    for i in range(1, q.r + 1):
-        row = [dims[i - 1]]
-        for j in range(i + 1, q.r + 1):
-            row.append(linalg.rank(assemble(block_structure(q, i, j), rep, product)))
-        rows.append(tuple(row))
-        product.forget(i)  # later pairs start right of i
+    for i in q.vertices():
+        ranks = (linalg.sparse_rank(_block_rows(runs)) for runs in _run_walk(q, mats, i))
+        rows.append((dims[i - 1], *ranks))
     return RankParameter(tuple(rows))
+
+
+def _edge_rows(q: QuiverA, rep: MatrixRep):
+    """Edge matrices as {row: {column: entry}}, nonzero rows and entries only.
+
+    Row and column keys number the coordinates of all vertices in one
+    sequence, vertex v's from n_1 + ... + n_{v-1} on.  So a product keeps
+    its factors' keys, blocks of different sinks share no row key, and
+    column keys order the sources as invariants.assemble does.
+    """
+    base = [sum(rep.dims[: v - 1]) for v in q.vertices()]
+    mats = []
+    for a in q.edges():
+        r0, c0 = base[q.head(a) - 1], base[q.tail(a) - 1]
+        rows = enumerate(rep.matrix(a))
+        mats.append({r0 + r: {c0 + c: x for c, x in enumerate(row) if x} for r, row in rows if any(row)})
+    return mats
+
+
+def _run_walk(q: QuiverA, mats, i: int):
+    """Yield the monotone runs of [i, j] for j = i+1, ..., r, updated in place.
+
+    A run is [sink, source, block], the block being the path product from
+    the source to the sink in the form of _edge_rows.  Edge j extends the
+    last run when its direction repeats, one product at the run's far
+    end, and opens a run otherwise.
+    """
+    runs = []
+    for j in range(i, q.r):
+        d, a = q.directions[j - 1], mats[j - 1]
+        if j > i and d == q.directions[j - 2]:
+            run = runs[-1]
+            if d == RIGHT:
+                run[0], run[2] = j + 1, _sparse_mul(a, run[2])
+            else:
+                run[1], run[2] = j + 1, _sparse_mul(run[2], a)
+        else:
+            runs.append([j + 1, j, a] if d == RIGHT else [j, j + 1, a])
+        yield runs
+
+
+def _sparse_mul(x, y):
+    """Product of two matrices in the form of _edge_rows."""
+    out = {}
+    for r, row in x.items():
+        acc = {}
+        for k, a in row.items():
+            for c, b in y.get(k, {}).items():
+                acc[c] = acc.get(c, 0) + a * b
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _block_rows(runs):
+    """Nonzero rows of the runs' block matrix, in the order of invariants.assemble.
+
+    Only neighbouring runs share a sink; its rows join their blocks.
+    """
+    rows = {}
+    for _, _, block in runs:
+        for k, row in block.items():
+            rows[k] = {**rows[k], **row} if k in rows else row
+    return [rows[k] for k in sorted(rows)]
 
 
 class Comparison(enum.Enum):
@@ -111,13 +174,10 @@ def hom_ext_dims(q: QuiverA, rep_a: MatrixRep, rep_b: MatrixRep) -> tuple[int, i
         A_a, B_a = rep_a.matrix(a), rep_b.matrix(a)
         for u in range(nb[h - 1]):
             for w in range(na[t - 1]):
-                row = [0] * len(col_index)
-                for v in range(na[h - 1]):
-                    row[col_index[(h, u, v)]] += A_a[v][w]
-                for v in range(nb[t - 1]):
-                    row[col_index[(t, v, w)]] -= B_a[u][v]
+                row = {col_index[(h, u, v)]: A_a[v][w] for v in range(na[h - 1]) if A_a[v][w]}
+                row.update((col_index[(t, v, w)], -B_a[u][v]) for v in range(nb[t - 1]) if B_a[u][v])
                 rows.append(row)
-    rk = linalg.rank(rows) if rows else 0
+    rk = linalg.sparse_rank(rows)
     hom = len(col_index) - rk
     ext = len(rows) - rk
     return hom, ext

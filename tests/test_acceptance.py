@@ -10,9 +10,10 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from conftest import ALT5, EQUI5, A7, ORACLE_OVER_BUDGET, instance, random_instance
+from conftest import ALT5, EQUI5, A7, ORACLE_OVER_BUDGET, instance, random_instance, random_quiver
 from qbfun import (
     Budget,
+    DimVector,
     FactoredBFunction,
     LinearForm,
     a_function,
@@ -102,6 +103,20 @@ def test_criterion_03_cross_validation_two_routes():
             total += 1
     assert len(shared_instances()) >= 200
     print(f"PASS criterion 3: closed formula = rank-parameter route on {total} invariants over 200 instances")
+
+
+def test_criterion_03_cross_validation_on_long_chains():
+    rng = random.Random(30)
+    total = 0
+    for _ in range(40):
+        q = random_quiver(rng, 20, 30)
+        n = DimVector(tuple(rng.randint(1, 8) for _ in range(q.r)))
+        for idx in enumerate_invariants(q, n):
+            rep = diagram_to_matrices(q, n, exact_diagram(q, n, idx))
+            assert b_from_fset(f_set(rank_parameter(q, n, rep))) == b_one_variable(q, n, idx)
+            total += 1
+    assert total == 244
+    print(f"PASS criterion 3: closed formula = rank-parameter route on {total} invariants of 40 chains with r=20..30")
 
 
 def test_criterion_04_multivariate_golden_set():

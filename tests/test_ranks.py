@@ -1,5 +1,7 @@
 import random
+from operator import add
 
+import pytest
 from conftest import ALT5, EQUI5, instance, random_instance, random_quiver
 from qbfun import (
     Comparison,
@@ -20,6 +22,7 @@ from qbfun import (
     strand_multiset,
     summand_ext,
 )
+from qbfun.errors import ShapeError
 from qbfun.quiver import parse_quiver
 
 
@@ -234,26 +237,87 @@ def test_shared_products_match_per_pair_ranks_on_random_points():
             assert rank_parameter(q, n, rep).rows == per_pair_rank_parameter(q, rep)
 
 
+def direct_sum(q, x, y):
+    """The point x + y, with block-diagonal edge matrices."""
+    mats = []
+    for a in q.edges():
+        tx, ty = x.dims[q.tail(a) - 1], y.dims[q.tail(a) - 1]
+        mats.append([[*row, *[0] * ty] for row in x.matrix(a)] + [[*[0] * tx, *row] for row in y.matrix(a)])
+    return MatrixRep.build(q, tuple(map(add, x.dims, y.dims)), mats)
+
+
+def test_run_walk_matches_per_pair_ranks():
+    """Long chains, zero dimensions, r = 1 and 2, and a Fraction point."""
+    from conftest import random_invertible
+    from qbfun import DimVector, QuiverA, enumerate_invariants
+    from qbfun.invariants import act
+
+    rng = random.Random(51)
+    points = []
+    for _ in range(3):
+        q = random_quiver(rng, 20, 30)
+        n = DimVector(tuple(rng.randint(1, 10) for _ in range(q.r)))
+        points += [(q, exact_rep(q, n, idx.p, idx.q)) for idx in enumerate_invariants(q, n)[:2]]
+    q = QuiverA(8, (1,) * 7)
+    n = DimVector(tuple(12 if v % 2 else 14 for v in q.vertices()))
+    points += [(q, exact_rep(q, n, idx.p, idx.q)) for idx in enumerate_invariants(q, n)]
+    points.append((QuiverA(1, ()), MatrixRep((3,), ())))
+    for text in ("1->2", "1<-2"):
+        q = parse_quiver(text)
+        points += [(q, MatrixRep.random(q, (2, 3), rng)), (q, MatrixRep.zero(q, (2, 3)))]
+    q, n = instance(*ALT5)
+    g = [random_invertible(rng, n.at(v)) for v in q.vertices()]
+    points.append((q, act(q, g, exact_rep(q, n, 1, 4))))
+    for q, rep in points:
+        assert rank_parameter(q, rep.dims, rep).rows == per_pair_rank_parameter(q, rep)
+
+    # The dense reference cannot multiply through a zero-dimensional vertex,
+    # so an interval point is checked inside a direct sum: ranks add up.
+    for _ in range(10):
+        q = random_quiver(rng, 1, 6)
+        full = interval_rep(q, Interval(1, q.r))
+        full_rows = per_pair_rank_parameter(q, full)
+        for i in q.vertices():
+            for j in range(i, q.r + 1):
+                rep = interval_rep(q, Interval(i, j))
+                walk = rank_parameter(q, rep.dims, rep).rows
+                both = per_pair_rank_parameter(q, direct_sum(q, full, rep))
+                assert tuple(tuple(map(add, x, y)) for x, y in zip(walk, full_rows)) == both
+
+
+def test_rank_parameter_rejects_mismatched_shapes():
+    q2, q3 = parse_quiver("1->2"), parse_quiver("1->2<-3")
+    with pytest.raises(ShapeError):
+        rank_parameter(q2, (1, 2, 1), MatrixRep.zero(q3, (1, 2, 1)))
+    with pytest.raises(ShapeError):
+        rank_parameter(q3, (1, 2), MatrixRep.zero(q2, (1, 2)))
+    with pytest.raises(ShapeError):
+        rank_parameter(q2, (1, 2), MatrixRep((1, 2), (((1, 0),),)))
+
+
 def test_path_products_match_plain_chains_in_any_order():
+    """Every block of the run walk is the plain product along its run's path."""
     from qbfun import linalg
-    from qbfun.invariants import PathProducts, block_structure
+    from qbfun.invariants import block_structure
+    from qbfun.ranks import _edge_rows, _run_walk
 
     rng = random.Random(48)
     for _ in range(20):
         q, n, _ = random_instance(rng, rmax=7, nmax=4)
         rep = MatrixRep.random(q, n, rng)
-        product = PathProducts(rep)
-        paths = [
-            path
-            for i in q.vertices()
-            for j in range(i + 1, q.r + 1)
-            for path in block_structure(q, i, j).entries.values()
-        ]
-        rng.shuffle(paths)
-        for path in paths:
-            assert product(path) == linalg.mat_chain([rep.matrix(e) for e in path])
-            if rng.random() < 0.2:
-                product.forget(rng.randint(1, q.r))
+        base = [sum(n.entries[: v - 1]) for v in range(1, q.r + 1)]
+        mats = _edge_rows(q, rep)
+        for i in q.vertices():
+            for j, runs in enumerate(_run_walk(q, mats, i), start=i + 1):
+                entries = block_structure(q, i, j).entries
+                assert sorted(entries) == sorted((sigma, tau) for sigma, tau, _ in runs)
+                for sigma, tau, block in runs:
+                    r0, c0 = base[sigma - 1], base[tau - 1]
+                    dense = tuple(
+                        tuple(block.get(r0 + r, {}).get(c0 + c, 0) for c in range(n.at(tau)))
+                        for r in range(n.at(sigma))
+                    )
+                    assert dense == linalg.mat_chain([rep.matrix(e) for e in entries[(sigma, tau)]])
 
 
 def test_rank_parameter_is_invariant_under_the_group_action():
