@@ -11,6 +11,7 @@ nonzero blocks are the path products along its monotone runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import linalg
 from .errors import NotAnInvariantError, ShapeError
@@ -134,6 +135,13 @@ class BlockMatrixSpec:
     def col_dims(self, n: DimVector) -> tuple[int, ...]:
         return tuple(n.at(v) for v in self.col_blocks)
 
+    def offsets(self, dims) -> tuple[dict, dict]:
+        """First row of each sink block and first column of each source block at dims."""
+        return tuple(
+            dict(zip(blocks, accumulate((dims[v - 1] for v in blocks), initial=0)))
+            for blocks in (self.row_blocks, self.col_blocks)
+        )
+
 
 def _runs(q: QuiverA, lo: int, hi: int):
     """Monotone runs of Q^{(lo,hi)} as (start, end, direction) triples."""
@@ -181,23 +189,25 @@ class MatrixRep:
     matrices: tuple[tuple, ...]
 
     def __post_init__(self):
-        if len(self.matrices) != len(self.dims) - 1 and not (len(self.dims) == 1 and not self.matrices):
+        if len(self.matrices) != len(self.dims) - 1:
             raise ShapeError("need one matrix per edge")
 
     def matrix(self, a: int):
         return self.matrices[a - 1]
 
+    def check(self, q: QuiverA) -> "MatrixRep":
+        """Raise ShapeError unless dims fit q and every edge matrix, row by row, has the shape above; returns self."""
+        if len(self.dims) != q.r:
+            raise ShapeError(f"{len(self.dims)} dimensions for a quiver with {q.r} vertices")
+        for a in q.edges():
+            m, rows, cols = self.matrix(a), self.dims[q.head(a) - 1], self.dims[q.tail(a) - 1]
+            if len(m) != rows or any(len(row) != cols for row in m):
+                raise ShapeError(f"edge {a}: matrix is not {rows}x{cols}")
+        return self
+
     @classmethod
     def build(cls, q: QuiverA, dims, mats) -> "MatrixRep":
-        dims = tuple(dims)
-        mats = tuple(linalg.mat(m) for m in mats)
-        rep = cls(dims, mats)
-        for a in q.edges():
-            rows, cols = len(mats[a - 1]), len(mats[a - 1][0]) if mats[a - 1] else 0
-            want = (dims[q.head(a) - 1], dims[q.tail(a) - 1])
-            if (rows, cols) != want and not (want[0] == 0 and rows == 0):
-                raise ShapeError(f"edge {a}: matrix is {rows}x{cols}, expected {want[0]}x{want[1]}")
-        return rep
+        return cls(tuple(dims), tuple(linalg.mat(m) for m in mats)).check(q)
 
     @classmethod
     def zero(cls, q: QuiverA, n) -> "MatrixRep":
@@ -229,11 +239,9 @@ def act(q: QuiverA, g, rep: MatrixRep) -> MatrixRep:
 def assemble(spec: BlockMatrixSpec, rep: MatrixRep):
     """Instantiate the block matrix at a concrete representation."""
     dims = rep.dims
-    row_dims = [dims[v - 1] for v in spec.row_blocks]
-    col_dims = [dims[v - 1] for v in spec.col_blocks]
-    row_off = {v: sum(row_dims[:k]) for k, v in enumerate(spec.row_blocks)}
-    col_off = {v: sum(col_dims[:k]) for k, v in enumerate(spec.col_blocks)}
-    total_rows, total_cols = sum(row_dims), sum(col_dims)
+    row_off, col_off = spec.offsets(dims)
+    total_rows = sum(dims[v - 1] for v in spec.row_blocks)
+    total_cols = sum(dims[v - 1] for v in spec.col_blocks)
     out = [[0] * total_cols for _ in range(total_rows)]
     for (sigma, tau), path in spec.entries.items():
         block = linalg.mat_chain([rep.matrix(e) for e in path])

@@ -1,17 +1,17 @@
 """Exact linear algebra over integers and rationals.
 
-Matrices are immutable tuples of row tuples.  Determinants use
-fraction-free (Bareiss) elimination and ranks fraction-free elimination
-on sparse rows: integer inputs stay integer all the way through, and
-rational rows are lifted to integers by clearing their denominators.
+Matrices are immutable tuples of row tuples.  One fraction-free
+elimination on sparse rows {column: entry} is behind rank, det and
+inverse: integer inputs stay integer all the way through, and rational
+rows are lifted to integers by clearing their denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
-from math import gcd, lcm
+from itertools import combinations, compress, repeat
+from math import gcd, lcm, prod
 from operator import add, mul
 
 from .errors import ShapeError, SingularMatrixError
@@ -40,14 +40,19 @@ def transpose(a):
 
 
 def mat_mul(a, b):
-    """Matrix product; entries only need + and * (ints, Fractions, polynomials)."""
-    ra, ca = len(a), len(a[0]) if a else 0
+    """Matrix product; entries only need + and * (ints, Fractions, polynomials).
+
+    A left factor with no rows, which keeps no column count, gives ().
+    """
+    if not a:
+        return ()
+    ra, ca = len(a), len(a[0])
     rb, cb = len(b), len(b[0]) if b else 0
     if ca != rb:
         raise ShapeError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    if ra and cb and not ca:
+    if cb and not ca:
         raise ShapeError("inner dimension 0 with nonzero outer dimensions has no generic zero entry")
-    bt = list(zip(*b)) if b else []
+    bt = list(zip(*b))
     # reduce(add, map(mul, ...)) is the left-to-right sum row[0]*col[0] + row[1]*col[1] + ...;
     # tuples are made from lists for the reason given in mat()
     return tuple([tuple([reduce(add, map(mul, row, col)) for col in bt]) for row in a])
@@ -55,71 +60,66 @@ def mat_mul(a, b):
 
 def mat_chain(mats):
     """Product of a nonempty sequence of matrices, left to right."""
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = mat_mul(acc, m)
-    return acc
-
-
-def _int_rows(a):
-    """Copy rows as integer lists; returns (rows, scale) with det(input) = det(rows)/scale."""
-    scale = 1
-    rows = []
-    for row in a:
-        if all(isinstance(x, int) for x in row):
-            rows.append(list(row))
-            continue
-        lifted, den = _lift(row)
-        scale *= den
-        rows.append(lifted)
-    return rows, scale
+    return reduce(mat_mul, mats)
 
 
 def _lift(row):
     """(row times the lcm of its denominators, that lcm) for rational entries."""
     fracs = [Fraction(x) for x in row]
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    den = lcm(*(f.denominator for f in fracs))
     return [int(f * den) for f in fracs], den
 
 
-def det(a):
-    """Exact determinant via Bareiss elimination.  Returns int when possible."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ShapeError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    rows, scale = _int_rows(a)
-    d = _det_bareiss(rows)
-    if scale == 1:
-        return d
-    result = Fraction(d, scale)
-    return int(result) if result.denominator == 1 else result
+def _step(v, p, j):
+    """Clear column j of the row v against the pivot row p, in place.
+
+    v becomes (m * v - k * p) / c, where m and k are p[j] and v[j] over
+    their gcd and c is the gcd of the entries left (1 if none); returns (m, c).
+    """
+    g = gcd(p[j], v[j])
+    m, k = p[j] // g, v[j] // g
+    if m != 1:
+        for t in v:
+            v[t] *= m
+    for t, y in p.items():
+        x = v.get(t, 0) - k * y
+        if x:
+            v[t] = x
+        else:
+            del v[t]
+    c = gcd(*v.values()) or 1
+    if c > 1:
+        for t in v:
+            v[t] //= c
+    return m, c
 
 
-def _det_bareiss(a):
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            factor = row_i[k]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+def _eliminate(rows):
+    """Fraction-free forward elimination of the rows {column: entry}.
+
+    Each row is reduced by _step against the pivot rows found so far,
+    keyed by their leading column, until it vanishes or leads in a new
+    column.  Returns (pivots, num, den), the pivots in input order: num /
+    den is the product of the lifts and of the steps' m / c.  The given
+    dicts are left unchanged, and a row is lifted to integers only if it
+    holds an entry that is not an int.
+    """
+    pivots = {}
+    num = den = 1
+    for row in rows:
+        v = {j: x for j, x in row.items() if x}
+        if not all(map(isinstance, v.values(), repeat(int))):
+            lifted, d = _lift(v.values())
+            v, num = dict(zip(v, lifted)), num * d
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = v
+                break
+            m, c = _step(v, p, lead)
+            num, den = num * m, den * c
+    return pivots, num, den
 
 
 def rank(a):
@@ -130,65 +130,42 @@ def rank(a):
 
 
 def sparse_rank(rows):
-    """Exact rank of the rows {column: entry}, by fraction-free elimination.
+    """Exact rank of the rows {column: entry}: the number of pivots of _eliminate."""
+    return len(_eliminate(rows)[0])
 
-    Zero entries are ignored and the given dicts are left unchanged.  Each
-    row is reduced against the pivot rows found so far, keyed by their
-    leading column, until it vanishes or leads in a new column.  A step
-    cross-multiplies by the two leading entries over their gcd and divides
-    the result by the gcd of its entries, so only nonzero entries are
-    touched and integers stay small.  A row is lifted to integers only if
-    it holds an entry that is not an int.
+
+def det(a):
+    """Exact determinant from the forward elimination.  Returns int when possible.
+
+    The pivot rows, sorted by leading column, are triangular, so
+    det(a) = sign * (product of the leading entries) * den / num, where
+    sign is that of the permutation taking input order to column order.
     """
-    pivots = {}
-    for row in rows:
-        v = {j: x for j, x in row.items() if x}
-        if not all(map(isinstance, v.values(), repeat(int))):
-            v = dict(zip(v, _lift(v.values())[0]))
-        while v:
-            lead = min(v)
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = v
-                break
-            g = gcd(p[lead], v[lead])
-            mp, mv = v[lead] // g, p[lead] // g
-            if mv != 1:
-                for j in v:
-                    v[j] *= mv
-            for j, y in p.items():
-                x = v.get(j, 0) - mp * y
-                if x:
-                    v[j] = x
-                else:
-                    del v[j]
-            c = gcd(*v.values())
-            if c > 1:
-                for j in v:
-                    v[j] //= c
-    return len(pivots)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ShapeError("determinant of a non-square matrix")
+    pivots, num, den = _eliminate(dict(enumerate(row)) for row in a)
+    if len(pivots) < n:
+        return 0
+    inversions = sum(x > y for x, y in combinations(pivots, 2))
+    top = (-1) ** inversions * prod(p[j] for j, p in pivots.items()) * den
+    return top // num if top % num == 0 else Fraction(top, num)
 
 
 def inverse(a):
-    """Exact inverse over Fraction via Gauss-Jordan."""
+    """Exact inverse with Fraction entries, by elimination of the rows of [a | I].
+
+    a is singular exactly when some pivot leads in a column of I.
+    Otherwise back-substitution from the last pivot up leaves pivot i as
+    c * (e_i | row i of the inverse) for some c.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeError("inverse of a non-square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    pivots = _eliminate({**dict(enumerate(row)), n + i: 1} for i, row in enumerate(a))[0]
+    if any(j >= n for j in pivots):
+        raise SingularMatrixError("matrix is singular")
+    for i in reversed(range(n)):
+        for k in [k for k in pivots[i] if i < k < n]:
+            _step(pivots[i], pivots[k], k)
+    return tuple(tuple(Fraction(pivots[i].get(n + k, 0), pivots[i][i]) for k in range(n)) for i in range(n))

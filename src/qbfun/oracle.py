@@ -476,14 +476,7 @@ def grad_log_invariant(q, n, idx, rep=None):
         rep = generic_point(q, n)
     y_inv = linalg.inverse(assemble(spec, rep))
     dims = rep.dims
-    row_off, acc = {}, 0
-    for v in spec.row_blocks:
-        row_off[v] = acc
-        acc += dims[v - 1]
-    col_off, acc = {}, 0
-    for v in spec.col_blocks:
-        col_off[v] = acc
-        acc += dims[v - 1]
+    row_off, col_off = spec.offsets(dims)
 
     grads = [
         [[Fraction(0)] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])]

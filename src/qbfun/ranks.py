@@ -52,13 +52,9 @@ class RankParameter:
 def rank_parameter(q: QuiverA, n, rep: MatrixRep) -> RankParameter:
     """N_ij = rank of the sink/source map of the subquiver [i, j]; N_ii = n_i."""
     dims = rep.dims
-    if dims != tuple(n) or len(dims) != q.r:
+    if dims != tuple(n):
         raise ShapeError("representation dimensions do not match the quiver or the dimension vector")
-    for a in q.edges():
-        m, rows, cols = rep.matrix(a), dims[q.head(a) - 1], dims[q.tail(a) - 1]
-        if len(m) != rows or any(len(row) != cols for row in m):
-            raise ShapeError(f"edge {a}: matrix is not {rows}x{cols}")
-    mats = _edge_rows(q, rep)
+    mats = _edge_rows(q, rep.check(q))
     rows = []
     for i in q.vertices():
         ranks = (linalg.sparse_rank(_block_rows(runs)) for runs in _run_walk(q, mats, i))
@@ -160,9 +156,7 @@ def hom_ext_dims(q: QuiverA, rep_a: MatrixRep, rep_b: MatrixRep) -> tuple[int, i
     (phi_{h(a)} A_a - B_a phi_{t(a)})_a; each rep carries its own
     dimension vector, zeros allowed.
     """
-    na, nb = rep_a.dims, rep_b.dims
-    if len(na) != q.r or len(nb) != q.r:
-        raise ShapeError("representations do not match the quiver")
+    na, nb = rep_a.check(q).dims, rep_b.check(q).dims
     col_index = {}
     for v in range(1, q.r + 1):
         for u in range(nb[v - 1]):

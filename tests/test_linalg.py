@@ -1,13 +1,14 @@
-"""Exact rank and determinant against a plain Fraction Gauss-Jordan reference."""
+"""Exact rank, determinant and inverse against a plain Fraction Gauss-Jordan reference."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from conftest import random_instance
 from qbfun import complete_diagram, diagram_to_matrices, exact_diagram, linalg
-from qbfun.errors import ShapeError
+from qbfun.errors import ShapeError, SingularMatrixError
 from qbfun.invariants import assemble, block_structure
 from qbfun.poly import MultiPolynomial, VarTable
 
@@ -75,6 +76,13 @@ def check_against_reference(a):
     assert linalg.rank(a) == ref_rank(a)
     if a and len(a) == len(a[0]):
         assert linalg.det(a) == ref_det(a)
+        if ref_det(a) != 0:
+            inv = linalg.inverse(a)
+            assert all(isinstance(x, Fraction) for row in inv for x in row)
+            assert linalg.mat_mul(a, inv) == linalg.identity(len(a))
+        else:
+            with pytest.raises(SingularMatrixError):
+                linalg.inverse(a)
 
 
 @pytest.mark.parametrize("fractions", [False, True])
@@ -106,6 +114,17 @@ def test_tall_and_wide_matrices():
         check_against_reference(a)
         check_against_reference(linalg.transpose(a))
         assert linalg.rank(a) == linalg.rank(linalg.transpose(a))
+
+
+def test_pivots_out_of_column_order():
+    """Rows of a triangular matrix in every order: row i leads in column perm[i]."""
+    rng = random.Random(97)
+    for perm in permutations(range(4)):
+        upper = [[rng.randint(1, 5) if i == j else rng.randint(-3, 3) * (j > i) for j in range(4)] for i in range(4)]
+        a = linalg.mat(upper[k] for k in perm)
+        check_against_reference(a)
+        sign = (-1) ** sum(x > y for i, x in enumerate(perm) for y in perm[i + 1 :])
+        assert linalg.det(a) == sign * upper[0][0] * upper[1][1] * upper[2][2] * upper[3][3]
 
 
 def test_empty_shapes():

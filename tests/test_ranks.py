@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from operator import add
 
 import pytest
@@ -108,6 +109,18 @@ def test_hom_ext_zero_dimensional():
     q = parse_quiver("1->2")
     zero = MatrixRep((0, 0), (tuple(),))
     assert hom_ext_dims(q, zero, zero) == (0, 0)
+
+
+def test_every_row_of_every_edge_matrix_is_shape_checked():
+    q = parse_quiver("1->2")
+    with pytest.raises(ShapeError):
+        MatrixRep.build(q, (2, 2), [[[1, 2], [3]]])
+    for bad in (MatrixRep((1, 1), (((1, 2),),)), MatrixRep((2, 2), (((1,),),))):
+        good = MatrixRep.zero(q, bad.dims)
+        with pytest.raises(ShapeError):
+            hom_ext_dims(q, bad, good)
+        with pytest.raises(ShapeError):
+            hom_ext_dims(q, good, bad)
 
 
 def test_ringel_formula_random_intervals():
@@ -271,8 +284,19 @@ def test_run_walk_matches_per_pair_ranks():
     for q, rep in points:
         assert rank_parameter(q, rep.dims, rep).rows == per_pair_rank_parameter(q, rep)
 
-    # The dense reference cannot multiply through a zero-dimensional vertex,
-    # so an interval point is checked inside a direct sum: ranks add up.
+    # Every interval point of every orientation with r = 2..5, directly.
+    checked = 0
+    for r in range(2, 6):
+        for directions in product((1, -1), repeat=r - 1):
+            q = QuiverA(r, directions)
+            for i in q.vertices():
+                for j in range(i, r + 1):
+                    rep = interval_rep(q, Interval(i, j))
+                    assert rank_parameter(q, rep.dims, rep).rows == per_pair_rank_parameter(q, rep)
+                    checked += 1
+    assert checked == 350
+
+    # An interval point inside a direct sum: ranks add up.
     for _ in range(10):
         q = random_quiver(rng, 1, 6)
         full = interval_rep(q, Interval(1, q.r))

@@ -118,12 +118,12 @@ def test_factor_b_roots_match_sympy_on_oracle_output(monkeypatch):
 
 
 def test_rank_matches_sympy():
-    """linalg.rank against sympy on random points, their block matrices and Fraction entries."""
+    """linalg.rank and det against sympy on random points, their block matrices and Fraction entries."""
     from qbfun import MatrixRep, linalg
     from qbfun.invariants import block_structure
 
     rng = random.Random(84)
-    checked = 0
+    checked = squares = 0
     while checked < 150:
         q, n, _ = random_instance(rng, rmax=5, nmax=3)
         rep = MatrixRep.random(q, n, rng, -1, 1)
@@ -132,6 +132,11 @@ def test_rank_matches_sympy():
             rows = assemble(block_structure(q, i, j), rep)
             if rng.random() < 0.5:
                 rows = tuple(tuple(Fraction(x, rng.randint(1, 4)) for x in row) for row in rows)
-            want = sympy.Matrix([[to_sympy(x, ()) for x in row] for row in rows]).rank()
-            assert linalg.rank(rows) == want
+            matrix = sympy.Matrix([[to_sympy(x, ()) for x in row] for row in rows])
+            assert linalg.rank(rows) == matrix.rank()
+            if matrix.is_square:
+                want = matrix.det()
+                assert linalg.det(rows) == Fraction(int(want.p), int(want.q))
+                squares += 1
             checked += 1
+    assert squares > 20
