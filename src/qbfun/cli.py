@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .bfun import a_function, b_multivariate, b_one_variable, f_set
@@ -30,6 +29,7 @@ from .jsonio import (
     afun_to_json,
     bfun_to_json,
     diagram_to_json,
+    dumps,
     format_afun_text,
     format_bfun_text,
     fset_to_json,
@@ -120,7 +120,7 @@ def _instance(args):
 
 
 def _emit(args, data, text):
-    print(text if args.format == "text" else json.dumps(data, indent=2))
+    print(text if args.format == "text" else dumps(data))
 
 
 def _cmd_invariants(args):
@@ -162,7 +162,7 @@ def _cmd_diagram(args):
     else:
         ld = labeled_exact_diagram(q, n, idx)
     if args.render == "json":
-        output = json.dumps(diagram_to_json(ld.diagram), indent=2)
+        output = dumps(diagram_to_json(ld.diagram))
     elif args.render == "ascii":
         output = render_ascii(ld).rstrip("\n")
     else:
@@ -253,7 +253,7 @@ def _cmd_verify(args):
         for item in checks:
             print(("ok   " if item["ok"] else "FAIL ") + item["check"])
     else:
-        print(json.dumps({"ok": all_ok, "checks": checks}, indent=2))
+        print(dumps({"ok": all_ok, "checks": checks}))
     return 0 if all_ok else 1
 
 

@@ -3,12 +3,13 @@
 Every serializer has an inverse and round-trips exactly.  b-function
 coefficient keys are always "s1", "s2", ...; the text formatter prints a
 bare "s" in the one-variable case.  Every decoder raises QuiverParseError
-on a malformed document.
+on a malformed document.  dumps writes every document the CLI prints.
 """
 
 from __future__ import annotations
 
 from functools import wraps
+from json.encoder import encode_basestring_ascii
 
 from .bfun import AFunction, FactoredBFunction, FSet, LinearForm
 from .diagrams import LaceDiagram
@@ -30,6 +31,86 @@ def _decoder(fn):
             raise QuiverParseError(f"malformed document for {fn.__name__}: {exc!r}") from exc
 
     return decode
+
+
+# -- writer ----------------------------------------------------------------
+
+def dumps(data) -> str:
+    """The bytes of json.dumps(data, indent=2), for the types the CLI emits.
+
+    dicts with str keys, lists, tuples, str, int, bool and None; anything
+    else (floats among them) raises TypeError.  Unlike the stdlib's
+    indenting encoder, it builds no self-referencing closures, so a
+    document leaves no cyclic garbage behind.
+    """
+    out = []
+    _write(data, "\n", out.append)
+    return "".join(out)
+
+
+# The scalars of exactly these types; subclasses take the isinstance route of _scalar.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _scalar(o) -> str:
+    write = _SCALARS.get(type(o))
+    if write is not None:
+        return write(o)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write(o, newline, put):
+    """Append o's text to put; one level in starts a line with newline plus two spaces.
+
+    Containers write their scalar items inline, and a list of plain ints
+    in one join.
+    """
+    if isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            write = _SCALARS.get(type(v))
+            if write is None:
+                put(sep + encode_basestring_ascii(k) + ": ")
+                _write(v, inner, put)
+            else:
+                put(sep + encode_basestring_ascii(k) + ": " + write(v))
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        if type(o[0]) is int and all(type(x) is int for x in o):
+            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in o:
+            write = _SCALARS.get(type(x))
+            if write is None:
+                put(sep)
+                _write(x, inner, put)
+            else:
+                put(sep + write(x))
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        put(_scalar(o))
 
 
 # -- quiver ----------------------------------------------------------------

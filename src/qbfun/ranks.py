@@ -21,7 +21,6 @@ from .errors import DiagnosticError, ShapeError
 from .invariants import (
     InvariantIndex,
     MatrixRep,
-    check_invariant,
     invariant_index,
     is_invariant,
 )
@@ -231,16 +230,24 @@ class SliceRep:
 
 
 def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> SliceRep:
-    """Local quiver of the exact diagram's strand decomposition."""
-    check_invariant(q, n, idx)
+    """Local quiver of the exact diagram's strand decomposition.
+
+    Only intervals that overlap or touch (w.i <= u.j + 1 and w.j >= u.i - 1)
+    can have nonzero Ext: any other pair shares no vertex and no edge, so
+    its Euler form is 0.  The vertices are sorted by (i, j), so the walk
+    over w stops at the first w.i > u.j + 1.
+    """
     _, counts, _ = _slice_side(q, n, idx)
     vertices = tuple(sorted(counts.items()))
     arrows = {}
     for a, (u, _) in enumerate(vertices, start=1):
         for b, (w, _) in enumerate(vertices, start=1):
-            e = summand_ext(q, u, w)
-            if e:
-                arrows[(a, b)] = e
+            if w.i > u.j + 1:
+                break
+            if w.j >= u.i - 1:
+                e = summand_ext(q, u, w)
+                if e:
+                    arrows[(a, b)] = e
     return SliceRep(vertices, arrows)
 
 
@@ -289,11 +296,9 @@ def restricted_invariant_shape(
     local invariant between the path's ends; anything else is surfaced
     as a diagnostic error.
     """
-    check_invariant(q, n, idx_slice)
-    check_invariant(q, n, idx_f)
+    d_slice, counts, lookup = _slice_side(q, n, idx_slice)
     if idx_f == idx_slice:
         return RestrictedInvariant(constant=True)
-    d_slice, counts, lookup = _slice_side(q, n, idx_slice)
     d_f = exact_diagram(q, n, idx_f)
 
     local_edges = {}

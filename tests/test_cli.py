@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from qbfun.cli import cli_main
+from qbfun.cli import build_parser, cli_main
 
 
 def run(capsys, *argv):
@@ -275,3 +276,35 @@ def test_verify_multi_that_fits_still_runs(capsys):
     code, out = run(capsys, "verify", "--quiver", "1->2->3->4", "--dims", "1,2,2,1", "--multi", "1,0")
     assert code == 0
     assert json.loads(out)["checks"][-1]["check"] == "bernstein-multi(1, 0)"
+
+
+def test_answers_leave_no_cyclic_garbage(capsys):
+    """Each subcommand's answer is freed by reference counting alone.
+
+    With the collector off, a run of successful requests must leave nothing
+    for gc.collect() to find; an encoder built of self-referencing closures
+    would leave its cells behind on every answer.
+    """
+    alt = ["--quiver", "1->2<-3->4<-5", "--dims", "2,5,7,4,2"]
+    requests = [
+        ["invariants", *alt],
+        ["bfun", *alt, "--pq", "1,4"],
+        ["bfun-multi", *alt],
+        ["afun", *alt],
+        ["diagram", *alt, "--pq", "2,5"],
+        ["diagram", *alt, "--complete", "--render", "ascii"],
+        ["diagram", *alt, "--superposed", "--render", "svg"],
+        ["ranks", *alt, "--pq", "1,4"],
+        ["slice", *alt, "--pq", "1,4"],
+        ["verify", "--quiver", "1->2<-3", "--dims", "1,2,2", "--grad", "--afun", "--multi", "1"],
+    ]
+    build_parser()  # built once per process, and its first build leaves argparse's own cycles
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in requests:
+            assert cli_main(list(argv)) == 0, argv
+            capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

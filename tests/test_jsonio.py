@@ -1,5 +1,7 @@
+import enum
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,7 +36,7 @@ from qbfun.jsonio import (
     slice_from_json,
     slice_to_json,
 )
-from qbfun import jsonio
+from qbfun import cli, jsonio
 from qbfun.bfun import a_function
 from qbfun.errors import QuiverParseError
 
@@ -111,3 +113,103 @@ def test_rank_decoder_checks_the_triangle():
     for data in ({"size": 1, "rows": ["x"]}, {"size": 2, "rows": [[1, 1], [1, 1]]}, {"size": 3, "rows": [[1]]}):
         with pytest.raises(QuiverParseError):
             rank_from_json(data)
+
+
+# -- the writer ---------------------------------------------------------------------
+
+def chain_requests(quiver, dims, invs, verify=False):
+    common = ["--quiver", quiver, "--dims", dims]
+    out = [["invariants", *common], ["bfun-multi", *common], ["afun", *common]]
+    out += [["diagram", *common, flag] for flag in ("--complete", "--superposed")]
+    for idx in invs:
+        pq = f"{idx.p},{idx.q}"
+        out += [[cmd, *common, "--pq", pq] for cmd in ("bfun", "diagram", "ranks", "slice")]
+    if verify:
+        out.append(["verify", *common, "--grad", "--afun"])
+    return out
+
+
+README_REQUESTS = [
+    ["invariants", "--quiver", "1->2<-3->4<-5", "--dims", "2,5,7,4,2"],
+    ["bfun", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2", "--pq", "1,5"],
+    ["bfun-multi", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2"],
+    ["afun", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2"],
+    ["diagram", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2", "--superposed"],
+    ["diagram", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2", "--pq", "3,4"],
+    ["diagram", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2", "--complete"],
+    ["ranks", "--quiver", "1->2<-3->4<-5", "--dims", "2,5,7,4,2", "--pq", "1,4"],
+    ["slice", "--quiver", "1->2->3->4->5", "--dims", "2,5,6,6,2", "--pq", "3,4"],
+    ["verify", "--quiver", "1->2<-3", "--dims", "1,2,2", "--grad", "--afun", "--multi", "1"],
+    # an empty invariant list, and a one-vertex quiver with no labels at all
+    ["invariants", "--quiver", "1->2", "--dims", "1,2"],
+    ["bfun-multi", "--quiver", "1", "--dims", "3"],
+    ["afun", "--quiver", "1", "--dims", "3"],
+]
+
+
+def test_cli_prints_the_stdlib_bytes(monkeypatch, capsys):
+    """Each answer the CLI prints is json.dumps(document, indent=2), byte for byte.
+
+    The documents are the ones cli hands to the writer, tuples included:
+    the README examples, the edge cases of empty labels, and every
+    subcommand on seeded random chains.
+    """
+    seen = []
+
+    def record(data):
+        seen.append(data)
+        return jsonio.dumps(data)
+
+    monkeypatch.setattr(cli, "dumps", record)
+    rng = random.Random(62)
+    requests = list(README_REQUESTS)
+    for k in range(12):
+        q, n, invs = random_instance(rng, rmax=4 if k < 4 else 8, nmax=2 if k < 4 else 6)
+        requests += chain_requests(str(q), str(n), invs, verify=k < 4)
+    for argv in requests:
+        assert cli.cli_main(list(argv)) == 0, argv
+        assert capsys.readouterr().out == json.dumps(seen[-1], indent=2) + "\n", argv
+    assert len(seen) == len(requests)
+
+
+class Name(str):
+    pass
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+EDGE_DOCUMENTS = [
+    [],
+    {},
+    [[], {}, [[]], {"a": {}}],
+    {"empty": [], "nested": {"x": [{}], "y": [[], [[]]]}},
+    [1, -2, 0, 10**40, -(10**40)],
+    {"big": 10**40, "neg": -7, "zero": 0},
+    [True, False, None, 1, 0],
+    {"t": True, "f": False, "n": None},
+    (1, (2, 3), ()),
+    'plain "quoted" back\\slash',
+    ["tab\there", "line\nbreak", "\x00\x1f\x7f", "é ∑ 𝔸 漢字", ""],
+    {"ключ \"q\"\\": "значение", " ": ["\u2028"]},
+    "top-level string",
+    42,
+    None,
+    # subclasses of str and int are written as their base types
+    [Name('sub"class'), Level.LOW, {"k": Level.LOW, Name("s"): Name("x")}],
+    Level.LOW,
+]
+
+
+@pytest.mark.parametrize("data", EDGE_DOCUMENTS, ids=range(len(EDGE_DOCUMENTS)))
+def test_writer_matches_the_stdlib_on_edge_documents(data):
+    assert jsonio.dumps(data) == json.dumps(data, indent=2)
+
+
+@pytest.mark.parametrize(
+    "data", [1.5, [Fraction(1, 2)], {1: "int key"}, {"a": [0.0]}], ids=["float", "fraction", "int-key", "nested-float"]
+)
+def test_writer_rejects_what_the_cli_never_emits(data):
+    with pytest.raises(TypeError):
+        jsonio.dumps(data)

@@ -6,25 +6,29 @@ import pytest
 from conftest import ALT5, EQUI5, instance, random_instance, random_quiver
 from qbfun import (
     Comparison,
+    DimVector,
     Interval,
     MatrixRep,
     closure_compare,
     complete_diagram,
     diagram_to_matrices,
+    enumerate_invariants,
     euler_form,
     exact_diagram,
     hom_ext_dims,
     interval_rep,
     interval_vector,
     invariant_index,
+    is_invariant,
     rank_parameter,
     restricted_invariant_shape,
     slice_representation,
     strand_multiset,
     summand_ext,
 )
-from qbfun.errors import ShapeError
+from qbfun.errors import NotAnInvariantError, ShapeError
 from qbfun.quiver import parse_quiver
+from qbfun.ranks import SliceRep, _slice_side
 
 
 def exact_rep(q, n, p, qq):
@@ -367,3 +371,47 @@ def test_restricted_shapes_do_not_depend_on_call_order():
         rng.shuffle(pairs)
         for s, f in pairs:
             assert restricted_invariant_shape(q, n, s, f) == by_slice[(s, f)]
+
+
+def all_pairs_slice(q, n, idx):
+    """The slice as summand_ext on every ordered pair of strand intervals gives it."""
+    vertices = tuple(sorted(strand_multiset(exact_diagram(q, n, idx)).items()))
+    arrows = {}
+    for a, (u, _) in enumerate(vertices, start=1):
+        for b, (w, _) in enumerate(vertices, start=1):
+            e = summand_ext(q, u, w)
+            if e:
+                arrows[(a, b)] = e
+    return SliceRep(vertices, arrows)
+
+
+def test_slice_arrows_match_all_pairs_on_random_chains():
+    """Only touching or overlapping intervals are walked; the arrows are those of all pairs."""
+    rng = random.Random(52)
+    total = 0
+    for rmin, rmax, count in ((2, 7, 80), (20, 30, 24)):
+        for _ in range(count):
+            q = random_quiver(rng, rmin, rmax)
+            n = DimVector(tuple(rng.randint(1, 10) for _ in range(q.r)))
+            for idx in enumerate_invariants(q, n):
+                assert slice_representation(q, n, idx) == all_pairs_slice(q, n, idx)
+                total += 1
+    assert total == 177
+
+
+def test_slices_reject_a_non_invariant_with_a_cold_or_warm_cache():
+    q, n = instance(*EQUI5)
+    good, bad = invariant_index(q, 3, 4), invariant_index(q, 1, 2)
+    assert not is_invariant(q, n, 1, 2)
+    for warm in (False, True):
+        _slice_side.cache_clear()
+        if warm:
+            slice_representation(q, n, good)
+        with pytest.raises(NotAnInvariantError):
+            slice_representation(q, n, bad)
+        if warm:
+            slice_representation(q, n, good)
+        for idx_slice, idx_f in ((bad, good), (good, bad), (bad, bad)):
+            with pytest.raises(NotAnInvariantError):
+                restricted_invariant_shape(q, n, idx_slice, idx_f)
+        assert restricted_invariant_shape(q, n, good, good).constant
