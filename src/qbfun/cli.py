@@ -33,7 +33,6 @@ from .jsonio import (
     format_afun_text,
     format_bfun_text,
     fset_to_json,
-    parse_dims,
     parse_pq,
     rank_to_json,
     slice_to_json,
@@ -45,7 +44,7 @@ from .oracle import (
     grad_log_check,
     oracle_b_function,
 )
-from .quiver import parse_quiver
+from .quiver import DimVector, parse_quiver
 from .ranks import (
     rank_parameter,
     restricted_invariant_shape,
@@ -108,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _instance(args):
     """Quiver, dimension vector and the --pq index (None without one), validated as input."""
     q = parse_quiver(args.quiver)
-    n = parse_dims(args.dims)
+    n = DimVector.parse(args.dims)
     if len(n) != q.r:
         raise QuiverParseError(f"--dims has {len(n)} entries for a quiver with {q.r} vertices")
     if getattr(args, "pq", None) is None:

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from .bfun import AFunction, FactoredBFunction, FSet, LinearForm
 from .diagrams import LaceDiagram
 from .errors import QuiverParseError
-from .quiver import DimVector, Interval, QuiverA, parse_quiver
+from .quiver import Interval, QuiverA, parse_quiver
 from .ranks import RankParameter, SliceRep
 
 
@@ -297,7 +297,3 @@ def parse_pq(text: str) -> tuple[int, int]:
     except ValueError as exc:
         raise QuiverParseError(f"cannot parse pair {text!r}; expected 'p,q'") from exc
     return p, q
-
-
-def parse_dims(text: str) -> DimVector:
-    return DimVector.parse(text)

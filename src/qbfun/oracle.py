@@ -1,11 +1,12 @@
 """Independent symbolic verification at desk scale.
 
-Expands invariants as exact multivariate polynomials, applies the dual
-invariant as a differential operator to symbolic powers, and extracts
-the b-function from the resulting identity.  Also differentiates
-invariants exactly at the generic point to verify the gradient-log and
-a-function descriptions.  Everything is exact rational arithmetic with
-hard term budgets.
+Expands invariants as exact multivariate polynomials, applies each one
+as a differential operator to its own symbolic powers (f is its own
+dual invariant in the paired variables), and extracts the b-function
+from the resulting identity.  Also differentiates invariants exactly at
+the generic point to verify the gradient-log and a-function
+descriptions.  Everything is exact rational arithmetic with hard term
+budgets.
 """
 
 from __future__ import annotations
@@ -27,17 +28,7 @@ from .errors import (
     QuiverParseError,
     ShapeError,
 )
-from .invariants import (
-    MatrixRep,
-    assemble,
-    block_spec,
-    block_structure,
-    character_exponents,
-    enumerate_invariants,
-    evaluate_invariant,
-    invariant_index,
-    is_invariant,
-)
+from .invariants import MatrixRep, assemble, block_spec, enumerate_invariants, evaluate_invariant
 from .poly import Accumulator, MultiPolynomial, VarTable
 from .quiver import DimVector, QuiverA
 
@@ -69,14 +60,13 @@ class Budget:
         return cls.parse(text) if text else cls()
 
 
-def variable_table(q: QuiverA, n: DimVector, svars=()) -> VarTable:
-    """One variable per matrix entry, edges then rows then columns, then svars."""
+def variable_table(q: QuiverA, n: DimVector) -> VarTable:
+    """One variable per matrix entry, edges then rows then columns."""
     names = []
     for a in q.edges():
         for i in range(1, n.at(q.head(a)) + 1):
             for j in range(1, n.at(q.tail(a)) + 1):
                 names.append(f"x{a}_{i}_{j}")
-    names.extend(svars)
     return VarTable(names)
 
 
@@ -90,15 +80,6 @@ def _symbolic_rep(q: QuiverA, n: DimVector, table: VarTable) -> MatrixRep:
             ]
         )
     return MatrixRep(tuple(n.entries), tuple(linalg.mat(m) for m in mats))
-
-
-def _transposed(rep: MatrixRep) -> MatrixRep:
-    """The paired point of the reversed quiver.
-
-    Under the trace pairing entry (i, j) of edge a pairs with entry (j, i)
-    of the reversed edge's matrix.
-    """
-    return MatrixRep(rep.dims, tuple(linalg.transpose(m) for m in rep.matrices))
 
 
 def poly_det(rows):
@@ -137,44 +118,33 @@ def _block_det(spec, rep: MatrixRep, table: VarTable) -> MultiPolynomial:
     return value if isinstance(value, MultiPolynomial) else MultiPolynomial.const(table, value)
 
 
-def _expand(spec, rep: MatrixRep, n, table: VarTable, budget: Budget) -> MultiPolynomial:
-    """_block_det within the matrix-size and invariant-terms budgets."""
+def expand_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
+    """Fully expanded determinant polynomial of f_{(p,q)}, within the size and term budgets."""
+    spec = block_spec(q, n, idx)
+    budget = budget or Budget()
     size = sum(spec.row_dims(n))
     if size > budget.matrix_size:
         raise BudgetExceededError("matrix size", size, budget.matrix_size)
-    f = _block_det(spec, rep, table)
+    if table is None:
+        table = variable_table(q, n)
+    f = _block_det(spec, _symbolic_rep(q, n, table), table)
     if f.num_terms() > budget.invariant_terms:
         raise BudgetExceededError("invariant terms", f.num_terms(), budget.invariant_terms)
-    return f
-
-
-def expand_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
-    """Fully expanded determinant polynomial of f_{(p,q)}."""
-    spec = block_spec(q, n, idx)
-    if table is None:
-        table = variable_table(q, n, ("s",))
-    f = _expand(spec, _symbolic_rep(q, n, table), n, table, budget or Budget())
     if f.is_zero():
         raise OracleIdentityError("invariant expanded to zero")
     return f
 
 
 def dual_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
-    """The reversed-quiver invariant with the same (p, q), in paired variables.
+    """The reversed-quiver invariant with the same (p, q), in paired variables: f itself.
 
-    Its character is verified to be the inverse of the primal one; the
-    resulting polynomial acts as the operator f*(d/dx).
+    Reversing the arrows swaps sinks and sources, and under the trace
+    pairing entry (i, j) of edge a pairs with entry (j, i) of the reversed
+    edge's matrix.  Since (X_k...X_1)^T = X_1^T...X_k^T, the reversed
+    quiver's block matrix at the paired point is the transpose of f's own,
+    so f* = f term for term and f(d/dx) is the operator of the identity.
     """
-    chi = character_exponents(q, n, idx)
-    dq = q.dual()
-    if not is_invariant(dq, n, idx.p, idx.q):
-        raise DiagnosticError(f"({idx.p},{idx.q}) has no dual partner invariant")
-    didx = invariant_index(dq, idx.p, idx.q)
-    if tuple(-e for e in chi) != character_exponents(dq, n, didx):
-        raise DiagnosticError("dual invariant character is not the inverse")
-    if table is None:
-        table = variable_table(q, n, ("s",))
-    return _expand(block_spec(dq, n, didx), _transposed(_symbolic_rep(q, n, table)), n, table, budget or Budget())
+    return expand_invariant(q, n, idx, table, budget)
 
 
 def _positive_divisors(n: int):
@@ -384,12 +354,10 @@ def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> 
 
 
 def oracle_b_function(q, n, idx, budget=None) -> BernsteinResult:
-    """Expand f and f* and run the operator identity for one invariant."""
+    """Expand f and run the operator identity f(d/dx) f^{s+1} = b(s) f^s (f* = f)."""
     budget = budget or Budget()
-    table = variable_table(q, n)
-    f = expand_invariant(q, n, idx, table, budget)
-    fstar = dual_invariant(q, n, idx, table, budget)
-    return apply_bernstein(fstar, f, budget)
+    f = expand_invariant(q, n, idx, variable_table(q, n), budget)
+    return apply_bernstein(f, f, budget)
 
 
 def bracket_product_poly(b: FactoredBFunction, m, table: VarTable) -> MultiPolynomial:
@@ -422,10 +390,10 @@ class MultiBernsteinResult:
 def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     """Verify the several-variable operator identity at integer shifts m.
 
-    Applies the product of dual invariants (each to its power m_i) to the
-    product of f_i^{s_i + m_i}, reads b(s) off the layers (_bernstein_b),
-    and compares with the superposition engine's bracket product expanded
-    at the same m.
+    Applies prod_i f_i^{m_i}, the product of the dual invariants (f_i* =
+    f_i) to their powers, to the product of f_i^{s_i + m_i}, reads b(s)
+    off the layers (_bernstein_b), and compares with the superposition
+    engine's bracket product expanded at the same m.
     """
     budget = budget or Budget()
     invariants = enumerate_invariants(q, n)
@@ -436,11 +404,10 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         raise ShapeError("shifts must be non-negative integers")
     table = variable_table(q, n)
     fs = [expand_invariant(q, n, idx, table, budget) for idx in invariants]
-    fstars = [dual_invariant(q, n, idx, table, budget) for idx in invariants]
 
     operator = MultiPolynomial.const(table, 1)
-    for fstar, mi in zip(fstars, m):
-        operator = operator * fstar ** mi
+    for f, mi in zip(fs, m):
+        operator = operator * f ** mi
         if operator.num_terms() > budget.state_terms:
             raise BudgetExceededError("operator terms", operator.num_terms(), budget.state_terms)
     stable = VarTable(f"s{i}" for i in range(1, l + 1))
@@ -530,9 +497,11 @@ def a_function_check(q, n) -> AFunctionVerdict:
     """Evaluate each dual invariant at grad log of the weighted product.
 
     grad log of prod f_j^{s_j} at the generic point is the superposition
-    of the exact diagrams with weights s_j; plugging its transpose into
-    the dual block matrix and multiplying by f_i at the generic point
-    must reproduce the a-function monomial for the i-th unit vector.
+    of the exact diagrams with weights s_j.  The dual block matrix at its
+    transpose is the transpose of f_i's own block matrix at it (see
+    dual_invariant), so f_i's block determinant there, times f_i at the
+    generic point, must reproduce the a-function monomial for the i-th
+    unit vector.
     """
     invariants = enumerate_invariants(q, n)
     l = len(invariants)
@@ -554,17 +523,16 @@ def a_function_check(q, n) -> AFunctionVerdict:
             ]
             for r in range(rows)
         ]
-        weighted.append(entries)
+        weighted.append(linalg.mat(entries))
 
     a0 = generic_point(q, n)
     afun = a_function(q, n)
-    dq = q.dual()
-    dual_rep = _transposed(MatrixRep(tuple(n), tuple(weighted)))
+    weighted_rep = MatrixRep(tuple(n), tuple(weighted))
 
     details = []
     for label, idx in enumerate(invariants, start=1):
-        f_at_a0 = evaluate_invariant(block_spec(q, n, idx), a0)
-        actual = _block_det(block_structure(dq, idx.p, idx.q), dual_rep, table) * f_at_a0
+        spec = block_spec(q, n, idx)
+        actual = _block_det(spec, weighted_rep, table) * evaluate_invariant(spec, a0)
         expected = MultiPolynomial.const(table, 1)
         for form, exponent in afun.eps_exponents(label):
             base = MultiPolynomial.zero(table)

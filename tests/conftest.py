@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from qbfun import DimVector, QuiverA, enumerate_invariants, parse_quiver
 from qbfun import linalg
@@ -32,6 +33,27 @@ ORACLE_OVER_BUDGET = frozenset(
         ("1<-2<-3<-4", (2, 3, 3, 2)),
     }
 )
+
+
+def oracle_family():
+    """The criterion-5 oracle gate family: small instances whose expanded invariants stay inside the term budget."""
+    cases = []
+    for direction in ("1->2", "1<-2"):
+        for m in (1, 2, 3, 4):
+            cases.append(instance(direction, (m, m)))
+    for d1 in ("->", "<-"):
+        for d2 in ("->", "<-"):
+            text = f"1{d1}2{d2}3"
+            for n1 in (1, 2, 3):
+                for n2 in (1, 2, 3):
+                    for n3 in (1, 2, 3):
+                        cases.append(instance(text, (n1, n2, n3)))
+    for arrows in product(("->", "<-"), repeat=3):
+        text = "1{}2{}3{}4".format(*arrows)
+        for dims in product((1, 2, 3), repeat=4):
+            if (text, dims) not in ORACLE_OVER_BUDGET:
+                cases.append(instance(text, dims))
+    return cases
 
 
 def random_quiver(rng: random.Random, rmin=2, rmax=7) -> QuiverA:

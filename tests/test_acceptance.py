@@ -8,9 +8,8 @@ Random instances are drawn once from a fixed seed and shared.
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import product
 
-from conftest import ALT5, EQUI5, A7, ORACLE_OVER_BUDGET, instance, random_instance, random_quiver
+from conftest import ALT5, EQUI5, A7, instance, oracle_family, random_instance, random_quiver
 from qbfun import (
     Budget,
     DimVector,
@@ -147,27 +146,6 @@ def test_criterion_04_multivariate_golden_set():
     print("PASS criterion 4: bracket products match both five-vertex displays and the seven-vertex example")
 
 
-def _oracle_family():
-    """Small instances whose expanded invariants stay inside the term budget."""
-    cases = []
-    for direction in ("1->2", "1<-2"):
-        for m in (1, 2, 3, 4):
-            cases.append(instance(direction, (m, m)))
-    for d1 in ("->", "<-"):
-        for d2 in ("->", "<-"):
-            text = f"1{d1}2{d2}3"
-            for n1 in (1, 2, 3):
-                for n2 in (1, 2, 3):
-                    for n3 in (1, 2, 3):
-                        cases.append(instance(text, (n1, n2, n3)))
-    for arrows in product(("->", "<-"), repeat=3):
-        text = "1{}2{}3{}4".format(*arrows)
-        for dims in product((1, 2, 3), repeat=4):
-            if (text, dims) not in ORACLE_OVER_BUDGET:
-                cases.append(instance(text, dims))
-    return cases
-
-
 def test_criterion_05_oracle_gate():
     budget = Budget()
     # the classical identity for n x n determinants, n <= 3
@@ -180,9 +158,9 @@ def test_criterion_05_oracle_gate():
     required = {("1->2->3", (1, 2, 1)), ("1->2<-3", (1, 2, 1)), ("1->2<-3", (1, 2, 2))}
     seen = set()
     checked = 0
-    for q, n in _oracle_family():
+    for q, n in oracle_family():
         for idx in enumerate_invariants(q, n):
-            table = variable_table(q, n, ("s",))
+            table = variable_table(q, n)
             try:
                 f = expand_invariant(q, n, idx, table, budget)
             except BudgetExceededError:

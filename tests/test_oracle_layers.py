@@ -18,7 +18,7 @@ import pytest
 from conftest import instance, random_instance
 from qbfun import Budget, enumerate_invariants
 from qbfun.oracle import _operator_layers, dual_invariant, expand_invariant, variable_table
-from qbfun.poly import MultiPolynomial
+from qbfun.poly import MultiPolynomial, VarTable
 
 
 def reference_layers(operator, fs, m, s_polys):
@@ -45,7 +45,7 @@ def reference_layers(operator, fs, m, s_polys):
 def check_walks_agree(q, n, invariants, m):
     """Compare both walks on operator prod_i f_i*^{m_i} over prod_i f_i^{s_i + m_i}."""
     svars = ("s",) if len(invariants) == 1 else tuple(f"s{i}" for i in range(1, len(invariants) + 1))
-    table = variable_table(q, n, svars)
+    table = VarTable(variable_table(q, n).names + svars)
     fs = [expand_invariant(q, n, idx, table) for idx in invariants]
     operator = MultiPolynomial.const(table, 1)
     for idx, mi in zip(invariants, m):

@@ -38,7 +38,7 @@ def test_poly_det_of_small_block_matrices_matches_sympy():
     checked = 0
     while checked < 40:
         q, n, invs = random_instance(rng, rmax=4, nmax=3)
-        table = variable_table(q, n, ("s",))
+        table = variable_table(q, n)
         symbols = sympy.symbols(table.names)
         for idx in invs:
             spec = block_spec(q, n, idx)
