@@ -23,7 +23,6 @@ from .bfun import FactoredBFunction, a_function, b_multivariate
 from .diagrams import complete_diagram, diagram_to_matrices, exact_diagram
 from .errors import (
     BudgetExceededError,
-    DiagnosticError,
     OracleIdentityError,
     QuiverParseError,
     ShapeError,
@@ -82,52 +81,80 @@ def _symbolic_rep(q: QuiverA, n: DimVector, table: VarTable) -> MatrixRep:
     return MatrixRep(tuple(n.entries), tuple(linalg.mat(m) for m in mats))
 
 
-def poly_det(rows):
-    """Determinant by expanding over column subsets; entries may be 0 or polynomials."""
+def poly_det(rows, limit=None):
+    """Determinant by expanding over column subsets; entries may be 0, ints or polynomials.
+
+    Layer i holds the minors of the first i rows, one per column subset,
+    each summed in place by an Accumulator.  Past ``limit`` keys held by
+    one layer (cancelled keys included) it raises BudgetExceededError
+    ("determinant terms"), checked after each term of every product.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ShapeError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    layers = {0: 1}
+    table = next((e.table for row in rows for e in row if isinstance(e, MultiPolynomial)), None)
+    if table is None:
+        return linalg.det(rows)
+
+    def signed(e):
+        P = e if isinstance(e, MultiPolynomial) else MultiPolynomial.const(table, e)
+        return P, -P
+
+    entries = [[signed(e) if e else None for e in row] for row in rows]
+    layers = {0: MultiPolynomial.const(table, 1)}
     for i in range(n):
         nxt = {}
+        total = 0  # keys held by the accumulators of nxt
         for mask, minor in layers.items():
             for j in range(n):
                 bit = 1 << j
-                if mask & bit:
+                if mask & bit or entries[i][j] is None:
                     continue
-                entry = rows[i][j]
-                if not entry:
-                    continue
-                term = minor * entry
-                if bin(mask >> (j + 1)).count("1") & 1:
-                    term = -term
-                key = mask | bit
-                acc = nxt.get(key)
-                nxt[key] = term if acc is None else acc + term
-        layers = {k: v for k, v in nxt.items() if v}
+                entry = entries[i][j][bin(mask >> (j + 1)).count("1") & 1]
+                acc = nxt.get(mask | bit)
+                if acc is None:
+                    acc = nxt[mask | bit] = Accumulator(table)
+                rest = total - acc.held()
+                try:
+                    acc.add_product(minor, entry, None if limit is None else limit - rest)
+                except BudgetExceededError as exc:
+                    raise BudgetExceededError("determinant terms", rest + exc.actual, limit) from None
+                total = rest + acc.held()
+        layers = {mask: P for mask, acc in nxt.items() if (P := acc.result())}
         if not layers:
             return 0
     return layers.get((1 << n) - 1, 0)
 
 
-def _block_det(spec, rep: MatrixRep, table: VarTable) -> MultiPolynomial:
+def _block_det(spec, rep: MatrixRep, table: VarTable, limit=None) -> MultiPolynomial:
     """Determinant of the block matrix of spec at rep, as a polynomial over table."""
-    value = poly_det(assemble(spec, rep))
+    value = poly_det(assemble(spec, rep), limit)
     return value if isinstance(value, MultiPolynomial) else MultiPolynomial.const(table, value)
 
 
 def expand_invariant(q, n, idx, table=None, budget=None) -> MultiPolynomial:
-    """Fully expanded determinant polynomial of f_{(p,q)}, within the size and term budgets."""
+    """Fully expanded determinant polynomial of f_{(p,q)}, within the size and term budgets.
+
+    Every budget is checked while the determinant is built.  An entry of
+    block (sigma, tau) at the symbolic point has exactly prod n_v terms over
+    the vertices strictly between sigma and tau (distinct edges carry
+    distinct variables, so distinct paths give distinct monomials); that
+    count is checked vertex by vertex before any path product is formed.
+    """
     spec = block_spec(q, n, idx)
     budget = budget or Budget()
     size = sum(spec.row_dims(n))
     if size > budget.matrix_size:
         raise BudgetExceededError("matrix size", size, budget.matrix_size)
+    for sigma, tau in spec.entries:
+        count = 1
+        for v in range(min(sigma, tau) + 1, max(sigma, tau)):
+            count *= n.at(v)
+            if count > budget.state_terms:
+                raise BudgetExceededError("entry terms", count, budget.state_terms)
     if table is None:
         table = variable_table(q, n)
-    f = _block_det(spec, _symbolic_rep(q, n, table), table)
+    f = _block_det(spec, _symbolic_rep(q, n, table), table, budget.state_terms)
     if f.num_terms() > budget.invariant_terms:
         raise BudgetExceededError("invariant terms", f.num_terms(), budget.invariant_terms)
     if f.is_zero():
@@ -211,6 +238,20 @@ def _falling(m: int, k: int) -> tuple:
     return tuple(coeffs)
 
 
+class _NodeSum:
+    """The partial sum of layers at one node of the operator's monomial trie.
+
+    ``size`` is its state size, sum_k held(Q_k) |FF_k|, kept up to date
+    product by product.
+    """
+
+    __slots__ = ("layers", "size")
+
+    def __init__(self):
+        self.layers = {}  # k-vector -> Accumulator of Q_k
+        self.size = 0
+
+
 def _operator_layers(operator, fs, m, budget):
     """Apply operator(d/dx) to prod_i f_i^{s_i + m_i}; return its s-free layers.
 
@@ -218,11 +259,20 @@ def _operator_layers(operator, fs, m, budget):
     FF_k = prod_i prod_{j<k_i} (s_i + m_i - j) and Q_k is free of s; the
     layers map each k-vector to its Q_k.  The derivative in x_v of layer k
     is dQ_k/dx_v in the same layer plus Q_k df_i/dx_v one layer up in i,
-    so s never enters the walk.  A state counts sum_k |Q_k| |FF_k| terms,
-    the size of the same state with s in the ring.  The operator's
-    monomials are walked in ascending lex order; one state is kept per
-    depth of the current derivative sequence, so a monomial starts from
-    the longest prefix it shares with the one before.
+    so s never enters the walk.
+
+    The operator is summed up its monomial trie in Horner order.  A
+    monomial's derivative sequence lists its variables in ascending order;
+    the monomials are walked in ascending lex order, sharing the longest
+    prefix with the one before, and one partial sum is kept per depth.  The
+    sum at a node is, over the monomials below it, the coefficient times
+    the derivatives after the node applied to prod_i f_i^{s_i + m_i}.  A
+    leaf adds its coefficient to layer 0 of its node; a node that is left
+    is differentiated once by its last variable into its parent's sum.
+    The root's sum is the result.  A state is the sum at one node, counted
+    as sum_k |Q_k| |FF_k| (the size of the same sum with s in the ring),
+    with |Q_k| the keys its accumulator holds; the state-terms budget is
+    checked after each term of every product into it.
     """
     l = len(fs)
     table = operator.table
@@ -241,51 +291,48 @@ def _operator_layers(operator, fs, m, budget):
             weights[kvec] = prod(sum(1 for c in _falling(mi, ki) if c) for mi, ki in zip(m, kvec))
         return weights[kvec]
 
-    def one_derivative(state, v):
-        targets = {}
-        for kvec in state:
-            targets[kvec] = None
+    def add(node, kvec, a, b):
+        """Add a * b to layer kvec of node, within the state-terms budget."""
+        acc = node.layers.get(kvec)
+        if acc is None:
+            acc = node.layers[kvec] = Accumulator(table)
+        w = weight(kvec)
+        rest = node.size - acc.held() * w
+        try:
+            acc.add_product(a, b, (budget.state_terms - rest) // w)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError("state terms", rest + exc.actual * w, budget.state_terms) from None
+        node.size = rest + acc.held() * w
+
+    def leave(node, v, parent):
+        """Add d/dx_v of node's finished sum into parent."""
+        for kvec, acc in node.layers.items():
+            Q = acc.result()
+            if not Q:
+                continue
+            dQ = Q.derivative(v)
+            if dQ:
+                add(parent, kvec, dQ, one)
             for i in range(l):
                 if df(i, v):
-                    targets[kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:]] = None
-        new = {}
-        total = 0  # terms of the finished layers of new
-        acc = Accumulator(table)
-        for kvec in targets:
-            w = weight(kvec)
-            limit = (budget.state_terms - total) // w
-            try:
-                if kvec in state:
-                    acc.add_product(state[kvec].derivative(v), one, limit)
-                for i in range(l):
-                    source = kvec[:i] + (kvec[i] - 1,) + kvec[i + 1:]
-                    if source in state:
-                        acc.add_product(state[source], df(i, v), limit)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError("state terms", total + exc.actual * w, budget.state_terms) from None
-            Q = acc.result()
-            if Q:
-                new[kvec] = Q
-                total += Q.num_terms() * w
-        return new
+                    add(parent, kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], Q, df(i, v))
 
-    final = {}
-    path, states = (), [{(0,) * l: one}]
+    base = (0,) * l
+    path, sums = [], [_NodeSum()]
     for exp, coef in operator.monomials():
-        seq = tuple(v for v, e in enumerate(exp) for _ in range(e))
+        seq = [v for v, e in enumerate(exp) for _ in range(e)]
         shared = 0
         while shared < min(len(path), len(seq)) and path[shared] == seq[shared]:
             shared += 1
-        del states[shared + 1:]
+        while len(path) > shared:
+            leave(sums.pop(), path.pop(), sums[-1])
         for v in seq[shared:]:
-            states.append(one_derivative(states[-1], v))
-        path = seq
-        coef = MultiPolynomial.const(table, coef)
-        for kvec, Q in states[-1].items():
-            if kvec not in final:
-                final[kvec] = Accumulator(table)
-            final[kvec].add_product(Q, coef)
-    layers = {kvec: acc.result() for kvec, acc in final.items()}
+            path.append(v)
+            sums.append(_NodeSum())
+        add(sums[-1], base, MultiPolynomial.const(table, coef), one)
+    while path:
+        leave(sums.pop(), path.pop(), sums[-1])
+    layers = {kvec: acc.result() for kvec, acc in sums[0].layers.items()}
     return {kvec: Q for kvec, Q in layers.items() if Q}
 
 
@@ -323,10 +370,9 @@ def _bernstein_b(operator, fs, m, budget) -> dict:
         evec = tuple(k - mi for k, mi in zip(kvec, m))
         if min(evec, default=0) < 0:
             raise OracleIdentityError(f"layer {kvec} below the shifts {tuple(m)} does not vanish")
-        try:
-            beta = Q.exact_div(power(evec)).constant_value()
-        except (DiagnosticError, ShapeError) as exc:
-            raise OracleIdentityError(f"layer {kvec} is not a constant times the invariant powers") from exc
+        beta = Q.ratio(power(evec))
+        if beta is None:
+            raise OracleIdentityError(f"layer {kvec} is not a constant times the invariant powers")
         for terms in product(*(enumerate(_falling(mi, ki)) for mi, ki in zip(m, kvec))):
             exps = tuple(e for e, _ in terms)
             b[exps] = b.get(exps, 0) + beta * prod(c for _, c in terms)

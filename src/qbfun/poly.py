@@ -293,6 +293,26 @@ class MultiPolynomial:
                         del rem[key]
         return MultiPolynomial._make(table, quot)
 
+    def ratio(self, other: "MultiPolynomial"):
+        """The constant beta with self == beta * other, or None if there is none.
+
+        beta is read off one key of other and then every key is compared,
+        so no polynomial division runs; beta is an int when integral, else
+        a Fraction.  Zero on either side gives None.
+        """
+        other = self._coerce(other)
+        if not self.terms or not other.terms or len(self.terms) != len(other.terms):
+            return None
+        key, c = next(iter(other.terms.items()))
+        if key not in self.terms:
+            return None
+        beta = _coef(Fraction(self.terms[key], c))
+        get = self.terms.get
+        for e, c in other.terms.items():
+            if get(e) != beta * c:
+                return None
+        return beta
+
     # -- display ----------------------------------------------------------
     def __str__(self):
         if not self.terms:
@@ -338,6 +358,10 @@ class Accumulator:
         if a.table is not self.table or b.table is not self.table:
             raise ShapeError("polynomials from different variable tables")
         _add_product(self._terms, a.terms, b.terms, limit)
+
+    def held(self):
+        """The number of keys summed so far, cancelled ones included."""
+        return len(self._terms)
 
     def num_terms(self):
         """The number of nonzero terms of the sum so far."""

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from time import perf_counter
 
 import pytest
 
@@ -448,7 +449,7 @@ def test_layers_below_the_shifts_must_vanish():
 
 
 @pytest.mark.parametrize(
-    "text,dims,pq,actual", [("1->2", (5, 5), (1, 2), 20022), ("1->2->3->4", (2, 3, 3, 2), (1, 4), 20018)]
+    "text,dims,pq,actual", [("1->2", (5, 5), (1, 2), 20028), ("1->2->3->4", (2, 3, 3, 2), (1, 4), 20020)]
 )
 def test_state_terms_count_the_layers_with_s_expanded(text, dims, pq, actual):
     """A state term is a term of FF_k Q_k: |FF_k| counts only the nonzero coefficients of FF_k."""
@@ -456,3 +457,37 @@ def test_state_terms_count_the_layers_with_s_expanded(text, dims, pq, actual):
     with pytest.raises(BudgetExceededError) as info:
         oracle_b_function(q, n, invariant_index(q, *pq))
     assert (info.value.what, info.value.actual, info.value.limit) == ("state terms", actual, 20000)
+
+
+@pytest.mark.parametrize(
+    "text,dims,pq,what",
+    [
+        ("1->2->3", (4, 8, 4), (1, 3), "determinant terms"),
+        ("1->2->3", (5, 10, 5), (1, 3), "determinant terms"),
+        ("1->2->3", (6, 12, 6), (1, 3), "determinant terms"),
+        ("1->2->3->4->5->6->7", (2, 4, 4, 4, 4, 4, 2), (1, 7), "determinant terms"),
+        ("1->2->3->4->5->6->7->8", (3, 6, 8, 8, 8, 8, 6, 3), (1, 8), "entry terms"),
+    ],
+)
+def test_expansion_budget_stops_while_the_determinant_is_built(text, dims, pq, what, monkeypatch, capsys):
+    """An invariant far past the budgets exits 4 while its expansion is built, not after.
+
+    Each of these has 40,320 to over 10^8 terms; building all of them took
+    from 0.25 s to over a minute.  The entry count is checked vertex by
+    vertex before a path product is formed, and the determinant's layers
+    after each term of every product, so the partial count stays below
+    twice the limit.
+    """
+    from qbfun.cli import cli_main
+
+    monkeypatch.delenv("QBFUN_BUDGET", raising=False)
+    argv = ["verify", "--quiver", text, "--dims", ",".join(map(str, dims)), "--pq", "{},{}".format(*pq)]
+    start = perf_counter()
+    assert cli_main(argv) == 4
+    assert perf_counter() - start < 1
+    assert f"budget exceeded: {what}" in capsys.readouterr().err
+    q, n = instance(text, dims)
+    with pytest.raises(BudgetExceededError) as info:
+        expand_invariant(q, n, invariant_index(q, *pq))
+    assert info.value.what == what
+    assert info.value.limit < info.value.actual < 2 * info.value.limit

@@ -42,15 +42,25 @@ def reference_layers(operator, fs, m, s_polys):
     return {k: P for k, P in final.items() if P}
 
 
-def check_walks_agree(q, n, invariants, m):
-    """Compare both walks on operator prod_i f_i*^{m_i} over prod_i f_i^{s_i + m_i}."""
+def s_in_ring(q, n, invariants):
+    """The matrix variables and one s_i per invariant, the f_i over them, and the s_i."""
     svars = ("s",) if len(invariants) == 1 else tuple(f"s{i}" for i in range(1, len(invariants) + 1))
     table = VarTable(variable_table(q, n).names + svars)
     fs = [expand_invariant(q, n, idx, table) for idx in invariants]
-    operator = MultiPolynomial.const(table, 1)
+    return fs, [MultiPolynomial.variable(table, name) for name in svars]
+
+
+def check_walks_agree(q, n, invariants, m):
+    """Compare both walks on operator prod_i f_i*^{m_i} over prod_i f_i^{s_i + m_i}."""
+    fs, s_polys = s_in_ring(q, n, invariants)
+    operator = MultiPolynomial.const(fs[0].table, 1)
     for idx, mi in zip(invariants, m):
-        operator = operator * dual_invariant(q, n, idx, table) ** mi
-    s_polys = [MultiPolynomial.variable(table, name) for name in svars]
+        operator = operator * dual_invariant(q, n, idx, fs[0].table) ** mi
+    check_operator(operator, fs, m, s_polys)
+
+
+def check_operator(operator, fs, m, s_polys):
+    """The s-free layers of operator(d/dx) prod_i f_i^{s_i + m_i}, times FF_k, against the reference."""
     layers = {}
     for kvec, Q in _operator_layers(operator, fs, m, Budget()).items():
         for s_i, m_i, k_i in zip(s_polys, m, kvec):
@@ -86,3 +96,44 @@ def test_layers_match_reference_on_random_instances(m):
         if len(invs) == len(m):
             check_walks_agree(q, n, invs, m)
             checked += 1
+
+
+# Operators that are not homogeneous: the workload never sends them, but a
+# Horner walk meets a leaf above other leaves and sums of unequal depth here.
+
+@pytest.mark.parametrize("text,dims", [("1->2", (2, 2)), ("1<-2", (3, 3)), ("1->2<-3", (1, 2, 1)), ("1->2->3", (2, 2, 2))])
+def test_layers_match_reference_with_a_constant_term(text, dims):
+    """1 + f: the root itself is a leaf, besides the leaves of f."""
+    q, n = instance(text, dims)
+    for idx in enumerate_invariants(q, n):
+        fs, s_polys = s_in_ring(q, n, [idx])
+        check_operator(fs[0] + 1, fs, (1,), s_polys)
+        check_operator(fs[0] * 3 - 2, fs, (2,), s_polys)
+
+
+@pytest.mark.parametrize("text,dims", [("1->2", (2, 2)), ("1<-2", (2, 2)), ("1->2<-3", (1, 2, 1)), ("1<-2->3", (2, 2, 2))])
+def test_layers_match_reference_when_a_sequence_extends_another(text, dims):
+    """f + x_v f with v the last matrix variable: a leaf lies on the path to a deeper leaf.
+
+    Each monomial of f has a derivative sequence that is a proper prefix of
+    the sequence of the same monomial times x_v.
+    """
+    q, n = instance(text, dims)
+    last = variable_table(q, n).names[-1]
+    for idx in enumerate_invariants(q, n):
+        fs, s_polys = s_in_ring(q, n, [idx])
+        x = MultiPolynomial.variable(fs[0].table, last)
+        check_operator(fs[0] + x * fs[0], fs, (1,), s_polys)
+        check_operator(fs[0] - x * x * fs[0] * 5, fs, (1,), s_polys)
+
+
+@pytest.mark.parametrize("text", ["1->2->3->4", "1->2<-3->4"])
+def test_layers_match_reference_on_a_sum_of_two_degrees(text):
+    """f_1 + f_2 with deg f_1 = 3 and deg f_2 = 2, over f_1^{s_1 + m_1} f_2^{s_2 + m_2}."""
+    q, n = instance(text, (1, 2, 2, 1))
+    invariants = enumerate_invariants(q, n)
+    fs, s_polys = s_in_ring(q, n, invariants)
+    assert sorted(f.total_degree() for f in fs) == [2, 3]
+    for m in ((1, 1), (2, 1), (0, 2)):
+        check_operator(fs[0] + fs[1], fs, m, s_polys)
+        check_operator(fs[0] * fs[1] + fs[1] * 7, fs, m, s_polys)

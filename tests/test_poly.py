@@ -252,6 +252,66 @@ def test_key_format_stays_inside_poly():
     assert readers == []
 
 
+# -- the ratio of proportional polynomials ---------------------------------------------
+
+def test_ratio_reads_an_integer_or_a_fraction():
+    rng = random.Random(77)
+    for _ in range(CASES // 3):
+        p = packed(random_reference(rng, nonzero=True))
+        for beta in (1, 3, -7, Fraction(2, 3), Fraction(-5, 4)):
+            ratio = (p * beta).ratio(p)
+            assert ratio == beta and type(ratio) is type(beta)
+    assert (X * 4 + Y * 6).ratio(X * 2 + Y * 3) == 2
+    assert (X * 2 + 1).ratio(X * 4 + 2) == Fraction(1, 2)
+
+
+def test_ratio_is_none_unless_proportional():
+    p = X * 2 + Y * 3 - 1
+    for other in (
+        X * 4 + Y * 6 - 3,  # the same support, coefficients not proportional
+        X * 4 + Y * 6,  # a key of p missing
+        Y * 6 - 2 + Z,  # as many keys, but x is missing and z is extra
+        X * 4 + Y * 6 - 2 + Z,  # an extra key
+        MultiPolynomial.zero(TABLE),
+    ):
+        assert other.ratio(p) is None
+        assert p.ratio(other) is None
+    with pytest.raises(ShapeError):
+        p.ratio(MultiPolynomial.variable(VarTable(NAMES), "x"))
+
+
+def test_ratio_agrees_with_exact_division_on_the_gate_family_walks():
+    """On every layer Q_k of the gate family's walks, ratio reads the beta_k that exact division does.
+
+    exact_div(...).constant_value() is the reference.  The walks of the oracle workload: f(d/dx) f^{s+1} per invariant, and
+    prod_i f_i(d/dx) prod_i f_i^{s_i+1} per instance with several invariants
+    (on two and three vertices; on four, most outgrow the state budget).
+    """
+    from conftest import oracle_family
+    from qbfun import Budget, enumerate_invariants
+    from qbfun.oracle import _operator_layers, expand_invariant, variable_table
+
+    checked = 0
+    for q, n in oracle_family():
+        table = variable_table(q, n)
+        fs = [expand_invariant(q, n, idx, table) for idx in enumerate_invariants(q, n)]
+        walks = [(f, [f]) for f in fs]
+        if len(fs) > 1 and q.r <= 3:
+            operator = MultiPolynomial.const(table, 1)
+            for f in fs:
+                operator = operator * f
+            walks.append((operator, fs))
+        for operator, invariants in walks:
+            for kvec, layer in _operator_layers(operator, invariants, (1,) * len(invariants), Budget()).items():
+                power = MultiPolynomial.const(table, 1)
+                for f, k in zip(invariants, kvec):
+                    power = power * f ** (k - 1)
+                beta = layer.ratio(power)
+                assert beta is not None and beta == layer.exact_div(power).constant_value()
+                checked += 1
+    assert checked > 2000
+
+
 # -- the accumulator ------------------------------------------------------------------
 
 def test_accumulator_matches_sum_of_products():
@@ -278,6 +338,18 @@ def test_accumulator_total_cancellation_is_zero():
     assert acc.num_terms() == 0
     total = acc.result()
     assert total.is_zero() and total == 0 and total.num_terms() == 0
+
+
+def test_accumulator_held_counts_the_cancelled_keys():
+    """held() is the key count the budgets read: every key summed, cancelled or not."""
+    a, b = X * 3 + Y * Z - 2, X - Z ** 2
+    acc = Accumulator(TABLE)
+    acc.add_product(a, b)
+    assert acc.held() == acc.num_terms() == (a * b).num_terms()
+    acc.add_product(-a, b)
+    assert acc.held() == (a * b).num_terms() and acc.num_terms() == 0
+    acc.result()
+    assert acc.held() == 0
 
 
 def test_accumulator_keeps_fraction_coefficients():
