@@ -10,24 +10,25 @@ support S becomes a rising factorial [A]_{sum of m_i over S}.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DiagnosticError, ShapeError
 from .invariants import InvariantIndex, _walk, check_invariant, enumerate_invariants
 from .quiver import DimVector, QuiverA
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(Record):
     """sum_i coeffs[i-1] * s_i + constant, with non-negative integer data."""
 
-    coeffs: tuple[int, ...]
-    constant: int
+    __slots__ = ("coeffs", "constant")
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coeffs) or self.constant < 0:
+    def __init__(self, coeffs: tuple[int, ...], constant: int):
+        if constant < 0 or min(coeffs, default=0) < 0:
             raise ShapeError("linear form needs non-negative coefficients and constant")
+        setfield(self, "coeffs", coeffs)
+        setfield(self, "constant", constant)
+        setfield(self, "_key", (coeffs, constant))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -51,8 +52,7 @@ class LinearForm:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
-class FactoredBFunction:
+class FactoredBFunction(Record):
     """Product of shifted linear forms, canonically ordered.
 
     One-variable b-functions use a single label; each factor (s + c)^e is
@@ -61,15 +61,17 @@ class FactoredBFunction:
     form's support.
     """
 
-    num_labels: int
-    factors: tuple
+    __slots__ = ("num_labels", "factors")
 
-    def __post_init__(self):
-        for form, mult in self.factors:
-            if len(form.coeffs) != self.num_labels:
+    def __init__(self, num_labels: int, factors: tuple):
+        for form, mult in factors:
+            if len(form.coeffs) != num_labels:
                 raise ShapeError("factor coefficient length does not match label count")
             if mult < 1 or form.constant < 1 or not form.support:
                 raise ShapeError("factors need multiplicity >= 1, constant >= 1, nonempty support")
+        setfield(self, "num_labels", num_labels)
+        setfield(self, "factors", factors)
+        setfield(self, "_key", (num_labels, factors))
 
     @classmethod
     def from_counter(cls, num_labels: int, counts: Counter) -> "FactoredBFunction":
@@ -148,19 +150,20 @@ def b_one_variable(q: QuiverA, n: DimVector, idx: InvariantIndex) -> FactoredBFu
     return b_from_fset(fset_of_invariant(q, n, idx))
 
 
-@dataclass(frozen=True)
-class FSet:
+class FSet(Record):
     """Per column k = 2..r, an inclusive integer range or None for empty."""
 
-    r: int
-    ranges: tuple
+    __slots__ = ("r", "ranges")
 
-    def __post_init__(self):
-        if len(self.ranges) != self.r - 1:
+    def __init__(self, r: int, ranges: tuple):
+        if len(ranges) != r - 1:
             raise ShapeError("need one range per column 2..r")
-        for rng in self.ranges:
+        for rng in ranges:
             if rng is not None and rng[0] > rng[1]:
                 raise ShapeError(f"bad range {rng}")
+        setfield(self, "r", r)
+        setfield(self, "ranges", ranges)
+        setfield(self, "_key", (r, ranges))
 
     def column(self, k: int):
         """Range for column k (2 <= k <= r)."""
@@ -259,8 +262,7 @@ def b_multivariate(q: QuiverA, n: DimVector) -> FactoredBFunction:
     return FactoredBFunction.from_counter(len(fsets), Counter(superpose(fsets)))
 
 
-@dataclass(frozen=True)
-class AFunction:
+class AFunction(Record):
     """Monomial product a_m(s) = prod over supports S of (sum_{i in S} s_i)^{e_S * sum_{i in S} m_i}.
 
     e_S counts the connections shared by exactly the exact diagrams of
@@ -269,8 +271,12 @@ class AFunction:
     form per connection of D^(i).
     """
 
-    num_labels: int
-    factors: tuple  # ((LinearForm with constant 0, e_S), ...)
+    __slots__ = ("num_labels", "factors")  # factors: ((LinearForm with constant 0, e_S), ...)
+
+    def __init__(self, num_labels: int, factors: tuple):
+        setfield(self, "num_labels", num_labels)
+        setfield(self, "factors", factors)
+        setfield(self, "_key", (num_labels, factors))
 
     def monomial(self, m) -> tuple:
         """((form, exponent), ...) for integer bracket lengths m."""

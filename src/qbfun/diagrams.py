@@ -10,30 +10,31 @@ drawn here pair dots of equal height under that convention.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ShapeError
 from .invariants import InvariantIndex, MatrixRep, _walk, check_invariant
 from .quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class LaceDiagram:
-    columns: tuple[int, ...]
-    connections: tuple[frozenset, ...]
+class LaceDiagram(Record):
+    __slots__ = ("columns", "connections")
 
-    def __post_init__(self):
-        if len(self.connections) != max(len(self.columns) - 1, 0):
+    def __init__(self, columns: tuple[int, ...], connections: tuple[frozenset, ...]):
+        if len(connections) != max(len(columns) - 1, 0):
             raise ShapeError("need one connection set per edge")
-        for a, pairs in enumerate(self.connections, start=1):
+        for a, pairs in enumerate(connections, start=1):
             left_seen, right_seen = set(), set()
             for dl, dr in pairs:
-                if not (1 <= dl <= self.columns[a - 1] and 1 <= dr <= self.columns[a]):
+                if not (1 <= dl <= columns[a - 1] and 1 <= dr <= columns[a]):
                     raise ShapeError(f"edge {a}: connection ({dl},{dr}) out of range")
                 if dl in left_seen or dr in right_seen:
                     raise ShapeError(f"edge {a}: a dot is connected twice on one side")
                 left_seen.add(dl)
                 right_seen.add(dr)
+        setfield(self, "columns", columns)
+        setfield(self, "connections", connections)
+        setfield(self, "_key", (columns, connections))
 
     @property
     def r(self) -> int:
@@ -123,12 +124,15 @@ def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:
     return MatrixRep.build(q, cols, mats)
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(Record):
     """A maximal connected path of dots; spans the interval of its columns."""
 
-    interval: Interval
-    dots: tuple[int, ...]
+    __slots__ = ("interval", "dots")
+
+    def __init__(self, interval: Interval, dots: tuple[int, ...]):
+        setfield(self, "interval", interval)
+        setfield(self, "dots", dots)
+        setfield(self, "_key", (interval, dots))
 
 
 def strands(d: LaceDiagram) -> tuple[Strand, ...]:

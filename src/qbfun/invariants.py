@@ -10,16 +10,15 @@ nonzero blocks are the path products along its monotone runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import linalg
 from .errors import NotAnInvariantError, ShapeError
 from .quiver import RIGHT, DimVector, QuiverA, check_dims, sinks_sources
+from .record import Record, setfield
 
 
-@dataclass(frozen=True, order=True)
-class InvariantIndex:
+class InvariantIndex(Record, order=True):
     """A pair 1 <= p < q <= r with its cached segment indices.
 
     alpha and beta locate p and q in the sink/source sequence nu:
@@ -28,10 +27,14 @@ class InvariantIndex:
     between p and q.
     """
 
-    p: int
-    q: int
-    alpha: int
-    beta: int
+    __slots__ = ("p", "q", "alpha", "beta")
+
+    def __init__(self, p: int, q: int, alpha: int, beta: int):
+        setfield(self, "p", p)
+        setfield(self, "q", q)
+        setfield(self, "alpha", alpha)
+        setfield(self, "beta", beta)
+        setfield(self, "_key", (p, q, alpha, beta))
 
 
 def invariant_index(q: QuiverA, p: int, qq: int) -> InvariantIndex:
@@ -113,8 +116,7 @@ def check_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> None:
         raise NotAnInvariantError(idx.p, idx.q)
 
 
-@dataclass(frozen=True)
-class BlockMatrixSpec:
+class BlockMatrixSpec(Record):
     """Block layout of the map from source spaces to sink spaces of Q^{(p,q)}.
 
     row_blocks / col_blocks are the sink / source vertices of the
@@ -123,11 +125,15 @@ class BlockMatrixSpec:
     first) to give that block; absent pairs are zero blocks.
     """
 
-    lo: int
-    hi: int
-    row_blocks: tuple[int, ...]
-    col_blocks: tuple[int, ...]
-    entries: dict
+    __slots__ = ("lo", "hi", "row_blocks", "col_blocks", "entries")
+
+    def __init__(self, lo: int, hi: int, row_blocks: tuple[int, ...], col_blocks: tuple[int, ...], entries: dict):
+        setfield(self, "lo", lo)
+        setfield(self, "hi", hi)
+        setfield(self, "row_blocks", row_blocks)
+        setfield(self, "col_blocks", col_blocks)
+        setfield(self, "entries", entries)
+        setfield(self, "_key", (lo, hi, row_blocks, col_blocks, entries))
 
     def row_dims(self, n: DimVector) -> tuple[int, ...]:
         return tuple(n.at(v) for v in self.row_blocks)
@@ -177,20 +183,21 @@ def block_spec(q: QuiverA, n: DimVector, idx: InvariantIndex) -> BlockMatrixSpec
     return spec
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(Record):
     """A point of the representation space: one exact matrix per edge.
 
     dims may contain zeros (interval representations); matrices[a-1] has
     shape dims[h(a)-1] x dims[t(a)-1].
     """
 
-    dims: tuple[int, ...]
-    matrices: tuple[tuple, ...]
+    __slots__ = ("dims", "matrices")
 
-    def __post_init__(self):
-        if len(self.matrices) != len(self.dims) - 1:
+    def __init__(self, dims: tuple[int, ...], matrices: tuple[tuple, ...]):
+        if len(matrices) != len(dims) - 1:
             raise ShapeError("need one matrix per edge")
+        setfield(self, "dims", dims)
+        setfield(self, "matrices", matrices)
+        setfield(self, "_key", (dims, matrices))
 
     def matrix(self, a: int):
         return self.matrices[a - 1]

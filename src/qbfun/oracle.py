@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
@@ -30,15 +29,19 @@ from .errors import (
 from .invariants import MatrixRep, assemble, block_spec, enumerate_invariants, evaluate_invariant
 from .poly import Accumulator, MultiPolynomial, VarTable
 from .quiver import DimVector, QuiverA
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Term and size limits; exceeding one aborts with a structured error."""
 
-    invariant_terms: int = 200
-    state_terms: int = 20000
-    matrix_size: int = 6
+    __slots__ = ("invariant_terms", "state_terms", "matrix_size")
+
+    def __init__(self, invariant_terms: int = 200, state_terms: int = 20000, matrix_size: int = 6):
+        setfield(self, "invariant_terms", invariant_terms)
+        setfield(self, "state_terms", state_terms)
+        setfield(self, "matrix_size", matrix_size)
+        setfield(self, "_key", (invariant_terms, state_terms, matrix_size))
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
@@ -224,10 +227,13 @@ def _factor_b(coeffs: dict, expected_degree: int):
     return FactoredBFunction.one_variable(constants), lead
 
 
-@dataclass(frozen=True)
-class BernsteinResult:
-    b: FactoredBFunction
-    constant: Fraction  # scalar by which the raw identity differs from monic
+class BernsteinResult(Record):
+    __slots__ = ("b", "constant")  # constant: scalar by which the raw identity differs from monic
+
+    def __init__(self, b: FactoredBFunction, constant: Fraction):
+        setfield(self, "b", b)
+        setfield(self, "constant", constant)
+        setfield(self, "_key", (b, constant))
 
 
 def _falling(m: int, k: int) -> tuple:
@@ -425,12 +431,15 @@ def bracket_product_poly(b: FactoredBFunction, m, table: VarTable) -> MultiPolyn
     return out
 
 
-@dataclass(frozen=True)
-class MultiBernsteinResult:
-    ok: bool
-    b: MultiPolynomial
-    engine: MultiPolynomial
-    constant: Fraction
+class MultiBernsteinResult(Record):
+    __slots__ = ("ok", "b", "engine", "constant")
+
+    def __init__(self, ok: bool, b: MultiPolynomial, engine: MultiPolynomial, constant: Fraction):
+        setfield(self, "ok", ok)
+        setfield(self, "b", b)
+        setfield(self, "engine", engine)
+        setfield(self, "constant", constant)
+        setfield(self, "_key", (ok, b, engine, constant))
 
 
 def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
@@ -519,11 +528,14 @@ def grad_log_invariant(q, n, idx, rep=None):
     return tuple(linalg.mat(g) for g in grads)
 
 
-@dataclass(frozen=True)
-class GradLogVerdict:
-    ok: bool
-    expected: MatrixRep
-    actual: tuple
+class GradLogVerdict(Record):
+    __slots__ = ("ok", "expected", "actual")
+
+    def __init__(self, ok: bool, expected: MatrixRep, actual: tuple):
+        setfield(self, "ok", ok)
+        setfield(self, "expected", expected)
+        setfield(self, "actual", actual)
+        setfield(self, "_key", (ok, expected, actual))
 
 
 def grad_log_check(q, n, idx) -> GradLogVerdict:
@@ -533,10 +545,13 @@ def grad_log_check(q, n, idx) -> GradLogVerdict:
     return GradLogVerdict(expected.matrices == actual, expected, actual)
 
 
-@dataclass(frozen=True)
-class AFunctionVerdict:
-    ok: bool
-    details: tuple  # (label, matches) pairs
+class AFunctionVerdict(Record):
+    __slots__ = ("ok", "details")  # details: (label, matches) pairs
+
+    def __init__(self, ok: bool, details: tuple):
+        setfield(self, "ok", ok)
+        setfield(self, "details", details)
+        setfield(self, "_key", (ok, details))
 
 
 def a_function_check(q, n) -> AFunctionVerdict:

@@ -9,31 +9,32 @@ left.  All public vertex, edge, and dot indices are 1-based.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import QuiverParseError, ShapeError
+from .record import Record, setfield
 
 RIGHT = 1
 LEFT = -1
 
 
-@dataclass(frozen=True)
-class QuiverA:
+class QuiverA(Record):
     """Orientation data of a type-A quiver with ``r`` vertices."""
 
-    r: int
-    directions: tuple[int, ...]
+    __slots__ = ("r", "directions", "__dict__")  # __dict__ holds the cached _rights
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, directions: tuple[int, ...]):
+        if r < 1:
             raise QuiverParseError("a quiver needs at least one vertex")
-        if len(self.directions) != self.r - 1:
-            raise QuiverParseError(f"expected {self.r - 1} edge directions, got {len(self.directions)}")
-        if any(d not in (RIGHT, LEFT) for d in self.directions):
+        if len(directions) != r - 1:
+            raise QuiverParseError(f"expected {r - 1} edge directions, got {len(directions)}")
+        if any(d not in (RIGHT, LEFT) for d in directions):
             raise QuiverParseError("edge directions must be +1 (right) or -1 (left)")
+        setfield(self, "r", r)
+        setfield(self, "directions", directions)
+        setfield(self, "_key", (r, directions))
 
     def delta(self, a: int) -> int:
         """Direction of edge ``a`` (1 <= a <= r-1): +1 rightward, -1 leftward."""
@@ -101,15 +102,16 @@ def parse_quiver(text: str) -> QuiverA:
     return QuiverA(len(dirs) + 1, tuple(dirs))
 
 
-@dataclass(frozen=True)
-class DimVector:
+class DimVector(Record):
     """Positive dimension assigned to every vertex."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if any(not isinstance(n, int) or n < 1 for n in self.entries):
+    def __init__(self, entries: tuple[int, ...]):
+        if any(not isinstance(n, int) or n < 1 for n in entries):
             raise QuiverParseError("dimension vector entries must be integers >= 1")
+        setfield(self, "entries", entries)
+        setfield(self, "_key", (entries,))
 
     @classmethod
     def parse(cls, text: str) -> "DimVector":
@@ -132,16 +134,17 @@ class DimVector:
         return ",".join(str(n) for n in self.entries)
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(Record, order=True):
     """Vertex interval [i, j]; labels the indecomposable supported on it."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if not 1 <= self.i <= self.j:
-            raise QuiverParseError(f"bad interval [{self.i}, {self.j}]")
+    def __init__(self, i: int, j: int):
+        if not 1 <= i <= j:
+            raise QuiverParseError(f"bad interval [{i}, {j}]")
+        setfield(self, "i", i)
+        setfield(self, "j", j)
+        setfield(self, "_key", (i, j))
 
     def __contains__(self, v: int) -> bool:
         return self.i <= v <= self.j

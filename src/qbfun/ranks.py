@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import linalg
@@ -25,13 +24,17 @@ from .invariants import (
     is_invariant,
 )
 from .quiver import LEFT, RIGHT, DimVector, Interval, QuiverA, interval_euler_form, interval_vector
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class RankParameter:
+class RankParameter(Record):
     """Upper-triangular array N_{ij}; rows[i-1] holds (N_ii, ..., N_ir)."""
 
-    rows: tuple
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        setfield(self, "rows", rows)
+        setfield(self, "_key", (rows,))
 
     @property
     def r(self) -> int:
@@ -202,8 +205,7 @@ def summand_ext(q: QuiverA, u: Interval, w: Interval) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class SliceRep:
+class SliceRep(Record):
     """Isotropy factors and normal-slice summands at a locally closed orbit.
 
     vertices: (interval, multiplicity) sorted by interval.  arrows maps
@@ -211,8 +213,12 @@ class SliceRep:
     (u -> w) contributes the matrix space M(mult_w, mult_u) to the slice.
     """
 
-    vertices: tuple
-    arrows: dict
+    __slots__ = ("vertices", "arrows")
+
+    def __init__(self, vertices: tuple, arrows: dict):
+        setfield(self, "vertices", vertices)
+        setfield(self, "arrows", arrows)
+        setfield(self, "_key", (vertices, arrows))
 
     def group_factors(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.vertices)
@@ -263,8 +269,7 @@ def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
     return d, Counter(s.interval for s in found), _lookup(found)
 
 
-@dataclass(frozen=True)
-class RestrictedInvariant:
+class RestrictedInvariant(Record):
     """Restriction of one invariant to the slice of another's orbit.
 
     Either constant, or a path-shaped local quiver with dimension vector
@@ -272,10 +277,14 @@ class RestrictedInvariant:
     b-function of the restriction.
     """
 
-    constant: bool
-    quiver: QuiverA = None
-    dims: DimVector = None
-    index: InvariantIndex = None
+    __slots__ = ("constant", "quiver", "dims", "index")
+
+    def __init__(self, constant: bool, quiver: QuiverA = None, dims: DimVector = None, index: InvariantIndex = None):
+        setfield(self, "constant", constant)
+        setfield(self, "quiver", quiver)
+        setfield(self, "dims", dims)
+        setfield(self, "index", index)
+        setfield(self, "_key", (constant, quiver, dims, index))
 
     def local_b(self) -> FactoredBFunction | None:
         if self.constant:

@@ -8,29 +8,30 @@ the diagram, so renders are byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from html import escape
-
 from .bfun import fset_of_invariant, invariant_fsets, merge_columns
 from .diagrams import LaceDiagram, arrow
 from .errors import ShapeError
 from .quiver import RIGHT, DimVector, QuiverA
+from .record import Record, setfield
 
 
-@dataclass(frozen=True)
-class LabeledDiagram:
+class LabeledDiagram(Record):
     """A lace diagram on a given orientation, with optional per-arrow labels."""
 
-    quiver: QuiverA
-    diagram: LaceDiagram
-    labels: dict = field(default_factory=dict)
+    __slots__ = ("quiver", "diagram", "labels")
 
-    def __post_init__(self):
-        if self.quiver.r != self.diagram.r:
+    def __init__(self, quiver: QuiverA, diagram: LaceDiagram, labels: dict = None):
+        if labels is None:
+            labels = {}
+        if quiver.r != diagram.r:
             raise ShapeError("diagram and quiver sizes differ")
-        for (a, pair), _ in self.labels.items():
-            if pair not in self.diagram.edge(a):
+        for (a, pair), _ in labels.items():
+            if pair not in diagram.edge(a):
                 raise ShapeError(f"label attached to missing connection {pair} on edge {a}")
+        setfield(self, "quiver", quiver)
+        setfield(self, "diagram", diagram)
+        setfield(self, "labels", labels)
+        setfield(self, "_key", (quiver, diagram, labels))
 
 
 def column_offsets(q: QuiverA, columns) -> tuple[int, ...]:
@@ -117,6 +118,11 @@ _SVG_ROW_SPACING = 22
 _SVG_MARGIN = 30
 
 
+def _escape(text: str) -> str:
+    """SVG text content: html.escape(text, quote=False), without importing html."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(ld: LabeledDiagram) -> str:
     """SVG 1.1 document: one circle per dot, one line per connection."""
     q, d = ld.quiver, ld.diagram
@@ -152,7 +158,7 @@ def render_svg(ld: LabeledDiagram) -> str:
                 tx = (xa + xb) // 2
                 ty = min(ya, yb) - 4
                 parts.append(
-                    f'<text x="{tx}" y="{ty}" font-size="10" text-anchor="middle">{escape(form.label_text(), quote=False)}</text>'
+                    f'<text x="{tx}" y="{ty}" font-size="10" text-anchor="middle">{_escape(form.label_text())}</text>'
                 )
     for col in range(1, q.r + 1):
         for dot in range(1, d.columns[col - 1] + 1):

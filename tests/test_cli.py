@@ -308,3 +308,15 @@ def test_answers_leave_no_cyclic_garbage(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_html():
+    """The import path of the CLI stays light: these modules cost more to import than qbfun itself."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qbfun.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'html'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import html
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -7,6 +8,7 @@ from qbfun import a_function, b_multivariate, complete_diagram, exact_diagram, i
 from qbfun.diagrams import empty_diagram
 from qbfun.render import (
     LabeledDiagram,
+    _escape,
     column_offsets,
     labeled_exact_diagram,
     render_ascii,
@@ -112,6 +114,15 @@ def test_svg_deterministic():
     q, n = instance(*ALT5)
     ld = superposed_diagram(q, n)
     assert render_svg(ld) == render_svg(ld)
+
+
+def test_svg_escape_is_html_escape_without_quotes():
+    q, n = instance(*EQUI5)
+    labels = [form.label_text() for form in superposed_diagram(q, n).labels.values()]
+    assert labels
+    others = ["a&b", "<s>", "x > y", "&amp;", '"quoted"', "it's", "&<>\"'", "", "s1+s2+5"]
+    for text in labels + others:
+        assert _escape(text) == html.escape(text, quote=False)
 
 
 def test_superposition_matches_per_diagram_routes_random():
