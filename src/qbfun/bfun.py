@@ -13,7 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import DiagnosticError, ShapeError
-from .invariants import InvariantIndex, _walk, check_invariant, enumerate_invariants
+from .invariants import InvariantIndex, check_invariant, enumerate_invariants
 from .quiver import DimVector, QuiverA
 from .record import Record, setfield
 
@@ -194,9 +194,8 @@ def fset_of_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> FSet:
     level c into t: the diagram has c connections on edge t-1, and the
     adjacent rank of a diagram point is its connection count.
     """
-    check_invariant(q, n, idx)
     ranges = [None] * (q.r - 1)
-    for t, c in _walk(q, n, idx.p):
+    for t, c in check_invariant(q, n, idx):
         ranges[t - 2] = (n.at(t) - c + 1, n.at(t))
     return FSet(q.r, tuple(ranges))
 

@@ -53,10 +53,11 @@ from .ranks import (
 from .render import LabeledDiagram, render_ascii, render_svg, superposed_diagram, labeled_exact_diagram
 
 
-def _add_common(sub):
+def _add_common(sub, formats=True):
     sub.add_argument("--quiver", required=True, help="orientation, e.g. '1->2<-3' or 'R,L'")
     sub.add_argument("--dims", required=True, help="dimension vector, e.g. '2,5,6,6,2'")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+    if formats:
+        sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
 @functools.cache  # one parser per process: parse_args leaves no state on it
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
 
     sub = subs.add_parser("diagram", help="lace diagrams (json, ascii, or svg)")
-    _add_common(sub)
+    _add_common(sub, formats=False)  # --render is its one output switch
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--pq", help="exact diagram of this invariant")
     group.add_argument("--complete", action="store_true", help="complete diagram")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import ShapeError
-from .invariants import InvariantIndex, MatrixRep, _walk, check_invariant
+from .invariants import InvariantIndex, MatrixRep, check_invariant
 from .quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
 from .record import Record, setfield
 
@@ -99,9 +99,8 @@ def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
     walk from p to q.  Past an interior sink or source v the bundle moves
     to the complementary dots of column v, since c becomes n_v - c.
     """
-    check_invariant(q, n, idx)
     conns = [frozenset() for _ in q.edges()]
-    for t, c in _walk(q, n, idx.p):
+    for t, c in check_invariant(q, n, idx):
         conns[t - 2] = _bundle(q, n, t - 1, c)
     return LaceDiagram(tuple(n), tuple(conns))
 
@@ -161,15 +160,6 @@ def strands(d: LaceDiagram) -> tuple[Strand, ...]:
 def strand_multiset(d: LaceDiagram) -> Counter:
     """Multiplicity of each interval among the strands."""
     return Counter(s.interval for s in strands(d))
-
-
-def _lookup(found) -> dict:
-    """Map (column, dot) -> the strand of ``found`` containing it."""
-    table = {}
-    for s in found:
-        for offset, dot in enumerate(s.dots):
-            table[(s.interval.i + offset, dot)] = s
-    return table
 
 
 def diagram_from_strands(r: int, multiset) -> LaceDiagram:

@@ -37,10 +37,14 @@ class InvariantIndex(Record, order=True):
         setfield(self, "_key", (p, q, alpha, beta))
 
 
-def invariant_index(q: QuiverA, p: int, qq: int) -> InvariantIndex:
-    """Build an InvariantIndex for (p, q), computing alpha and beta."""
+def _check_pair(q: QuiverA, p: int, qq: int) -> None:
     if not 1 <= p < qq <= q.r:
         raise ShapeError(f"need 1 <= p < q <= {q.r}, got ({p}, {qq})")
+
+
+def invariant_index(q: QuiverA, p: int, qq: int) -> InvariantIndex:
+    """Build an InvariantIndex for (p, q), computing alpha and beta."""
+    _check_pair(q, p, qq)
     nu = sinks_sources(q)
     alpha = next(k for k in range(1, len(nu)) if nu[k - 1] <= p < nu[k])
     beta = next(k for k in range(len(nu) - 1) if nu[k] < qq <= nu[k + 1])
@@ -96,7 +100,7 @@ def is_invariant(q: QuiverA, n: DimVector, p: int, qq: int) -> bool:
     p and q, and n_q = c, with c the alternating sum nbar in force.
     """
     check_dims(q, n)
-    invariant_index(q, p, qq)  # raises unless 1 <= p < q <= r
+    _check_pair(q, p, qq)
     return _partner(q, n, p) == qq
 
 
@@ -111,9 +115,15 @@ def enumerate_invariants(q: QuiverA, n: DimVector) -> tuple[InvariantIndex, ...]
     return tuple(found)
 
 
-def check_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> None:
-    if not is_invariant(q, n, idx.p, idx.q):
+def check_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> list[tuple[int, int]]:
+    """Raise unless idx labels an invariant; return its walk's levels (t, c), t = p+1..q."""
+    check_dims(q, n)
+    _check_pair(q, idx.p, idx.q)
+    levels = list(_walk(q, n, idx.p))
+    t, c = levels[-1]
+    if t != idx.q or n.at(t) != c:
         raise NotAnInvariantError(idx.p, idx.q)
+    return levels
 
 
 class BlockMatrixSpec(Record):

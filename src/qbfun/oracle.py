@@ -393,7 +393,7 @@ def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> 
     then b(s) = sum_k beta_k (s+1) s ... (s+2-k).
     """
     budget = budget or Budget()
-    if fstar.table is not f.table:
+    if fstar.table != f.table:
         raise ShapeError("operator and invariant use different variable tables")
     d = f.total_degree()
     if fstar.total_degree() != d:

@@ -55,6 +55,15 @@ class VarTable:
     def __len__(self):
         return len(self.names)
 
+    def __eq__(self, other):
+        """Tables with the same names pack monomials alike, so they are equal."""
+        if isinstance(other, VarTable):
+            return self is other or self.names == other.names
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.names)
+
     def __repr__(self):
         return f"VarTable({len(self.names)} vars)"
 
@@ -144,7 +153,7 @@ class MultiPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, MultiPolynomial):
-            return self.table is other.table and self.terms == other.terms
+            return (self.table is other.table or self.table == other.table) and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self.terms == ({0: other} if other else {})
         return NotImplemented
@@ -155,7 +164,7 @@ class MultiPolynomial:
     # -- ring operations -------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, MultiPolynomial):
-            if other.table is not self.table:
+            if other.table is not self.table and other.table != self.table:
                 raise ShapeError("polynomials from different variable tables")
             return other
         if isinstance(other, (int, Fraction)):
@@ -355,7 +364,8 @@ class Accumulator:
         The count includes keys that cancelled to zero, so it bounds the
         terms of the sum from above.
         """
-        if a.table is not self.table or b.table is not self.table:
+        table = self.table
+        if a.table is not table and a.table != table or b.table is not table and b.table != table:
             raise ShapeError("polynomials from different variable tables")
         _add_product(self._terms, a.terms, b.terms, limit)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import linalg
 from .bfun import FactoredBFunction, b_one_variable
-from .diagrams import _lookup, exact_diagram, strands
+from .diagrams import exact_diagram, strands
 from .errors import DiagnosticError, ShapeError
 from .invariants import (
     InvariantIndex,
@@ -23,7 +23,7 @@ from .invariants import (
     invariant_index,
     is_invariant,
 )
-from .quiver import LEFT, RIGHT, DimVector, Interval, QuiverA, interval_euler_form, interval_vector
+from .quiver import RIGHT, DimVector, Interval, QuiverA, interval_euler_form, interval_vector
 from .record import Record, setfield
 
 
@@ -259,14 +259,15 @@ def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> Slice
 
 @lru_cache(maxsize=1)
 def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
-    """Exact diagram, strand multiset and strand lookup of idx.
+    """Exact diagram, strand multiset and (column, dot) -> strand interval of idx.
 
     Cached for the run of calls that share one slice invariant: a slice
     request restricts every other invariant to the same slice.
     """
     d = exact_diagram(q, n, idx)
     found = strands(d)
-    return d, Counter(s.interval for s in found), _lookup(found)
+    where = {(s.interval.i + k, dot): s.interval for s in found for k, dot in enumerate(s.dots)}
+    return d, Counter(s.interval for s in found), where
 
 
 class RestrictedInvariant(Record):
@@ -300,66 +301,50 @@ def restricted_invariant_shape(
     The connections of the exact diagram of idx_f that are absent from
     the exact diagram of idx_slice are transferred to the slice's local
     quiver: a connection joins the strands of idx_slice's diagram that
-    contain its endpoints.  The transferred connections must trace out a
-    path of Ext-adjacent local vertices carrying the exact diagram of the
+    contain its endpoints.  Read edge by edge from left to right, each
+    edge that moves connections must join one pair of strand intervals
+    whose left one ends the path so far, so that they trace out a path
+    of Ext-adjacent local vertices carrying the exact diagram of the
     local invariant between the path's ends; anything else is surfaced
     as a diagnostic error.
     """
-    d_slice, counts, lookup = _slice_side(q, n, idx_slice)
+    d_slice, counts, where = _slice_side(q, n, idx_slice)
     if idx_f == idx_slice:
         return RestrictedInvariant(constant=True)
     d_f = exact_diagram(q, n, idx_f)
 
-    local_edges = {}
+    walk, directions, got = [], [], []
     for a in q.edges():
-        for dl, dr in d_f.edge(a) - d_slice.edge(a):
-            u = lookup[(a, dl)].interval
-            w = lookup[(a + 1, dr)].interval
-            if q.delta(a) == LEFT:
-                u, w = w, u
-            local_edges[(u, w)] = local_edges.get((u, w), 0) + 1
-    if not local_edges:
+        moved = d_f.edge(a) - d_slice.edge(a)
+        if not moved:
+            continue
+        ends = {(where[(a, dl)], where[(a + 1, dr)]) for dl, dr in moved}
+        if len(ends) != 1:
+            raise DiagnosticError(f"edge {a}: transferred arrows join {len(ends)} pairs of strands")
+        ((left, right),) = ends
+        if not walk:
+            walk.append(left)
+        elif left != walk[-1]:
+            raise DiagnosticError(f"edge {a}: transferred arrows from {left} do not continue the path")
+        if right in walk:
+            raise DiagnosticError(f"edge {a}: transferred arrows return to {right}; not a simple path")
+        u, w = (left, right) if q.delta(a) == RIGHT else (right, left)
+        if summand_ext(q, u, w) != 1:
+            raise DiagnosticError(f"transferred arrows {u} -> {w} without a slice arrow")
+        walk.append(right)
+        directions.append(q.delta(a))
+        got.append(len(moved))
+    if not walk:
         return RestrictedInvariant(constant=True)
 
-    for (u, w), _ in local_edges.items():
-        if u == w or summand_ext(q, u, w) != 1:
-            raise DiagnosticError(f"transferred arrows {u} -> {w} without a slice arrow")
-
-    neighbours = {}
-    for u, w in local_edges:
-        neighbours.setdefault(u, set()).add(w)
-        neighbours.setdefault(w, set()).add(u)
-    ends = sorted(v for v, nbrs in neighbours.items() if len(nbrs) == 1)
-    if len(ends) != 2 or any(len(nbrs) > 2 for nbrs in neighbours.values()):
-        raise DiagnosticError("transferred arrows do not form a simple path")
-    walk = [ends[0]]
-    while True:
-        nxt = [v for v in neighbours[walk[-1]] if len(walk) < 2 or v != walk[-2]]
-        if not nxt:
-            break
-        walk.append(nxt[0])
-    if len(walk) != len(neighbours):
-        raise DiagnosticError("transferred arrows do not form a simple path")
-
-    directions = []
-    for u, w in zip(walk, walk[1:]):
-        if (u, w) in local_edges:
-            directions.append(RIGHT)
-        elif (w, u) in local_edges:
-            directions.append(LEFT)
-        else:
-            raise DiagnosticError("path step without a transferred arrow")
     local_q = QuiverA(len(walk), tuple(directions))
     local_n = DimVector(tuple(counts[v] for v in walk))
     if not is_invariant(local_q, local_n, 1, len(walk)):
         raise DiagnosticError("transferred arrows do not bound a local invariant")
     local_idx = invariant_index(local_q, 1, len(walk))
     expected = exact_diagram(local_q, local_n, local_idx).edge_counts()
-    got = tuple(
-        local_edges.get((u, w), 0) + local_edges.get((w, u), 0) for u, w in zip(walk, walk[1:])
-    )
-    if expected != got:
+    if expected != tuple(got):
         raise DiagnosticError(
-            f"transferred arrow counts {got} do not match the local exact diagram {expected}"
+            f"transferred arrow counts {tuple(got)} do not match the local exact diagram {expected}"
         )
     return RestrictedInvariant(False, local_q, local_n, local_idx)

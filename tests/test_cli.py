@@ -1,11 +1,14 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from qbfun import DimVector, enumerate_invariants, parse_quiver
 from qbfun.cli import build_parser, cli_main
 
 
@@ -320,3 +323,111 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_html():
     done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Junk for the options the fuzz test below mutates.  Every number stays small:
+# large dims, budgets or shifts ask for work that no budget bounds.
+SMALL_BUDGETS = ("1", "5,5", "1,20000,6", "200,20000,6")
+JUNK = ("", " ", "x", "-1", "0", "1,", ",1", "1,,2", "1.5", "1e3", "0x10", "nan", "--", "\uff11,\uff12", "\x00", "1;2", "[1,2]", "1 2")
+OPTION_JUNK = {
+    "--quiver": ("1->", "->2", "1->2->", "1=>2", "2->1", "1->3", "1<->2", "R,L,X", "R,,L", "1-2", "1->2<-3->"),
+    "--dims": ("1,2,-1", "0,0", "2,5,7,4,2", "9"),
+    "--pq": ("1", "1,2,3", "2,1", "0,1", "1,1", "1,99", "99999999999999999999,1"),
+    "--budget": ("0", "-5", "1,2,3,4", "abc", *SMALL_BUDGETS),
+    "--multi": ("1,-1", "1", "0", "1,1", "1,0,2", "x"),
+}
+COMMANDS = ("invariants", "bfun", "bfun-multi", "afun", "diagram", "ranks", "slice", "verify")
+
+
+def _small_chain(rng):
+    r = rng.randint(2, 8)
+    directions = [rng.choice(("->", "<-")) for _ in range(r - 1)]
+    if rng.random() < 0.5:
+        quiver = "1" + "".join(f"{d}{v}" for v, d in enumerate(directions, start=2))
+    else:
+        quiver = ",".join("R" if d == "->" else "L" for d in directions)
+    return quiver, ",".join(str(rng.randint(1, 9)) for _ in range(r))
+
+
+def _valid_argv(rng):
+    """A well-formed request of a random subcommand on a chain with r <= 8 and dims <= 9."""
+    command = rng.choice(COMMANDS)
+    quiver, dims = _small_chain(rng)
+    argv = [command, "--quiver", quiver, "--dims", dims]
+    invs = enumerate_invariants(parse_quiver(quiver), DimVector.parse(dims))
+    idx = rng.choice(invs) if invs else None
+    pq = f"{idx.p},{idx.q}" if idx else "1,2"
+    if command in ("bfun", "ranks", "slice") or (command == "verify" and rng.random() < 0.5):
+        argv += ["--pq", pq]
+    if command == "diagram":
+        argv += rng.choice((["--pq", pq], ["--complete"], ["--superposed"]))
+        argv += ["--render", rng.choice(("json", "ascii", "svg"))]
+    if command == "verify":
+        if rng.random() < 0.5:
+            argv += ["--budget", rng.choice(SMALL_BUDGETS)]
+        if rng.random() < 0.3:
+            argv += ["--multi", ",".join(str(rng.randint(0, 1)) for _ in invs)]
+        argv += [flag for flag in ("--grad", "--afun") if rng.random() < 0.3]
+    elif command != "diagram" and rng.random() < 0.3:
+        argv += ["--format", rng.choice(("json", "text"))]
+    return argv
+
+
+def _mutated(rng, argv):
+    """argv with one or two options given junk or a stray value, dropped or added."""
+    argv = list(argv)
+    r = argv[argv.index("--dims") + 1].count(",") + 1
+    stray = {  # values of the right form that may not fit the rest of the request
+        "--quiver": ",".join(rng.choice("RL") for _ in range(rng.choice((r, r, r - 2)) - 1)),
+        "--dims": ",".join(str(rng.randint(0, 9)) for _ in range(rng.choice((r, r, r - 1, r + 1)))),
+        "--pq": "{},{}".format(*sorted(rng.sample(range(1, r + 2), 2))),
+        "--budget": rng.choice(SMALL_BUDGETS),
+        "--multi": ",".join(str(rng.randint(0, 2)) for _ in range(rng.randint(1, 3))),
+    }
+    for _ in range(rng.randint(1, 2)):
+        present = [option for option in OPTION_JUNK if option in argv]
+        option = rng.choice(present if rng.random() < 0.8 else tuple(OPTION_JUNK))
+        value = stray[option] if rng.random() < 0.6 else rng.choice(OPTION_JUNK[option] + JUNK)
+        if option in argv and rng.random() < 0.1:
+            at = argv.index(option)
+            del argv[at : at + 2]
+        elif option in argv:
+            argv[argv.index(option) + 1] = value
+        else:
+            argv += [option, value]
+    return argv
+
+
+def test_mutated_requests_exit_with_a_documented_code(monkeypatch, capsys):
+    """Seeded junk in --quiver, --dims, --pq, --budget and --multi of every subcommand.
+
+    Each request exits 0-4 (5 needs --out, which is not fuzzed), prints no
+    traceback, and prints exactly one error: line whenever it fails.
+    """
+    monkeypatch.delenv("QBFUN_BUDGET", raising=False)
+    rng = random.Random(20261019)
+    codes = Counter()
+    for _ in range(400):
+        argv = _mutated(rng, _valid_argv(rng))
+        code = cli_main(argv)
+        out, err = capsys.readouterr()
+        codes[code] += 1
+        assert 0 <= code <= 4, argv
+        assert "Traceback" not in out + err, argv
+        if code:
+            assert out == "" and sum("error:" in line for line in err.splitlines()) == 1, argv
+        if code in (3, 4):
+            assert _one_error_line(err), argv
+    assert {0, 2, 3, 4} <= set(codes), codes
+
+
+def test_diagram_has_no_format_option(capsys):
+    """--render is the one output switch of diagram; a --format is an input error."""
+    for fmt in ("text", "json"):
+        code = cli_main(["diagram", "--quiver", "1->2", "--dims", "1,1", "--complete", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
+    assert cli_main(["diagram", "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--render" in usage and "--format" not in usage

@@ -7,6 +7,8 @@ on seeded random sparse polynomials, and the guard bits must stop an
 exponent at 2^15 - 1 instead of carrying into the next variable.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -277,7 +279,7 @@ def test_ratio_is_none_unless_proportional():
         assert other.ratio(p) is None
         assert p.ratio(other) is None
     with pytest.raises(ShapeError):
-        p.ratio(MultiPolynomial.variable(VarTable(NAMES), "x"))
+        p.ratio(MultiPolynomial.variable(VarTable(("x", "y", "w")), "x"))
 
 
 def test_ratio_agrees_with_exact_division_on_the_gate_family_walks():
@@ -360,7 +362,7 @@ def test_accumulator_keeps_fraction_coefficients():
 
 
 def test_accumulator_rejects_another_table():
-    other = MultiPolynomial.variable(VarTable(NAMES), "x")
+    other = MultiPolynomial.variable(VarTable(("x", "y", "w")), "x")
     acc = Accumulator(TABLE)
     for a, b in ((X, other), (other, X)):
         with pytest.raises(ShapeError):
@@ -388,3 +390,27 @@ def test_accumulator_limit_stops_after_one_left_term():
         acc.add_product(a, b, limit=3)
     assert info.value.what == "state terms"
     assert (info.value.actual, info.value.limit) == (4, 3)
+
+
+def test_tables_with_the_same_names_are_equal():
+    twin = VarTable(NAMES)
+    assert twin is not TABLE and twin == TABLE and hash(twin) == hash(TABLE)
+    assert VarTable(("x", "y", "w")) != TABLE and VarTable(NAMES[:2]) != TABLE
+    assert MultiPolynomial.variable(twin, "y") == Y
+    assert MultiPolynomial.variable(VarTable(("w",)), "w") != MultiPolynomial.variable(VarTable(("x",)), "x")
+
+
+def test_copied_polynomials_equal_and_add_to_their_originals():
+    from qbfun import DimVector, parse_quiver
+    from qbfun.oracle import apply_bernstein_multi
+
+    result = apply_bernstein_multi(parse_quiver("1->2"), DimVector((2, 2)), (1,))
+    for clone in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
+        assert clone == result
+        b, copied = result.b, clone.b
+        assert copied.table is not b.table and copied == b
+        assert copied + b == 2 * b and b + copied == 2 * b and (copied - b).is_zero()
+        acc = Accumulator(b.table)
+        acc.add_product(copied, b)
+        acc.add_product(b, copied)
+        assert acc.result() == 2 * b * b

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import product
 from operator import add
 
 import pytest
-from conftest import ALT5, EQUI5, instance, random_instance, random_quiver
+from conftest import A7, ALT5, EQUI5, instance, random_instance, random_quiver
 from qbfun import (
     Comparison,
     DimVector,
@@ -26,7 +27,9 @@ from qbfun import (
     strand_multiset,
     summand_ext,
 )
-from qbfun.errors import NotAnInvariantError, ShapeError
+from qbfun import ranks
+from qbfun.diagrams import LaceDiagram
+from qbfun.errors import DiagnosticError, NotAnInvariantError, ShapeError
 from qbfun.quiver import parse_quiver
 from qbfun.ranks import SliceRep, _slice_side
 
@@ -415,3 +418,63 @@ def test_slices_reject_a_non_invariant_with_a_cold_or_warm_cache():
             with pytest.raises(NotAnInvariantError):
                 restricted_invariant_shape(q, n, idx_slice, idx_f)
         assert restricted_invariant_shape(q, n, good, good).constant
+
+
+def restriction_digest(chains):
+    """(pairs, non-constant pairs, sha256) over every ordered pair of each chain's invariants."""
+    h = hashlib.sha256()
+    pairs = nonconstant = 0
+    for q, n, invs in chains:
+        for s in invs:
+            for f in invs:
+                shape = restricted_invariant_shape(q, n, s, f)
+                local = None
+                if not shape.constant:
+                    nonconstant += 1
+                    local = (str(shape.quiver), shape.dims.entries, (shape.index.p, shape.index.q))
+                h.update(repr((str(q), n.entries, (s.p, s.q), (f.p, f.q), shape.constant, local)).encode())
+                pairs += 1
+    return pairs, nonconstant, h.hexdigest()
+
+
+def test_restrictions_of_two_chain_families_are_pinned():
+    """Each restriction's chain, pairs, constancy and local quiver, dims and pair, as the path search gave them."""
+    from test_acceptance import shared_instances
+
+    worked = [instance(*example) for example in (EQUI5, ALT5, A7)]
+    first = [(q, n, enumerate_invariants(q, n)) for q, n in worked] + list(shared_instances())
+    assert restriction_digest(first) == (
+        515,
+        220,
+        "1b00f7a3653def12be6fd9f51fc5229f7ec7c73c92e47be405903477a91234fc",
+    )
+    rng = random.Random(17)
+    assert restriction_digest([random_instance(rng, rmax=14, nmax=8) for _ in range(100)]) == (
+        580,
+        368,
+        "80beedd4d5d7b7573cb8cce65790eeb870d98a1bd59af47a7930018ba654b844",
+    )
+
+
+@pytest.mark.parametrize(
+    "example, slice_pq, f_pq, edges, message",
+    [
+        (ALT5, (1, 4), (2, 5), {2: {(1, 3), (2, 4), (3, 1)}}, "edge 2: transferred arrows join 2 pairs of strands"),
+        (EQUI5, (3, 4), (1, 5), {2: set()}, "edge 4: transferred arrows from .* do not continue the path"),
+        (EQUI5, (3, 4), (1, 5), {3: {(1, 2), (2, 1)}}, "edge 3: transferred arrows return to .*; not a simple path"),
+        (ALT5, (1, 4), (2, 5), {2: {(3, 1)}}, "without a slice arrow"),
+        (EQUI5, (3, 4), (1, 5), {2: set(), 4: set()}, "do not bound a local invariant"),
+        (EQUI5, (3, 4), (1, 5), {1: {(1, 1)}}, r"counts \(1, 2, 2\) do not match the local exact diagram \(2, 2, 2\)"),
+    ],
+)
+def test_each_restriction_diagnostic_fires_on_a_doctored_diagram(monkeypatch, example, slice_pq, f_pq, edges, message):
+    """The exact diagram of f given other connections on some edges is refused, never read as a shape."""
+    q, n = instance(*example)
+    idx_slice, idx_f = invariant_index(q, *slice_pq), invariant_index(q, *f_pq)
+    assert not restricted_invariant_shape(q, n, idx_slice, idx_f).constant
+    real = ranks.exact_diagram
+    d = real(q, n, idx_f)
+    doctored = LaceDiagram(d.columns, tuple(frozenset(edges.get(a, d.edge(a))) for a in q.edges()))
+    monkeypatch.setattr(ranks, "exact_diagram", lambda q, n, idx: doctored if idx is idx_f else real(q, n, idx))
+    with pytest.raises(DiagnosticError, match=message):
+        restricted_invariant_shape(q, n, idx_slice, idx_f)
