@@ -120,20 +120,21 @@ def _instance(args):
 
 
 def _emit(args, data, text):
-    print(text if args.format == "text" else dumps(data))
+    """Print data as JSON or, under --format text, the string text() builds."""
+    print(text() if args.format == "text" else dumps(data))
 
 
 def _cmd_invariants(args):
     q, n, _ = _instance(args)
     pairs = [[idx.p, idx.q] for idx in enumerate_invariants(q, n)]
-    _emit(args, pairs, "\n".join(f"{p},{qq}" for p, qq in pairs) if pairs else "(none)")
+    _emit(args, pairs, lambda: "\n".join(f"{p},{qq}" for p, qq in pairs) if pairs else "(none)")
     return 0
 
 
 def _cmd_bfun(args):
     q, n, idx = _instance(args)
     b = b_one_variable(q, n, idx)
-    _emit(args, {"pq": [idx.p, idx.q], "b": bfun_to_json(b)}, format_bfun_text(b))
+    _emit(args, {"pq": [idx.p, idx.q], "b": bfun_to_json(b)}, lambda: format_bfun_text(b))
     return 0
 
 
@@ -141,7 +142,7 @@ def _cmd_bfun_multi(args):
     q, n, _ = _instance(args)
     labels = [[idx.p, idx.q] for idx in enumerate_invariants(q, n)]
     b = b_multivariate(q, n)
-    _emit(args, {"labels": labels, "b": bfun_to_json(b)}, format_bfun_text(b))
+    _emit(args, {"labels": labels, "b": bfun_to_json(b)}, lambda: format_bfun_text(b))
     return 0
 
 
@@ -149,7 +150,7 @@ def _cmd_afun(args):
     q, n, _ = _instance(args)
     labels = [[idx.p, idx.q] for idx in enumerate_invariants(q, n)]
     a = a_function(q, n)
-    _emit(args, {"labels": labels, "a": afun_to_json(a)}, format_afun_text(a))
+    _emit(args, {"labels": labels, "a": afun_to_json(a)}, lambda: format_afun_text(a))
     return 0
 
 
@@ -180,8 +181,7 @@ def _cmd_ranks(args):
     N = rank_parameter(q, n, diagram_to_matrices(q, n, exact_diagram(q, n, idx)))
     fs = f_set(N)
     data = {"pq": [idx.p, idx.q], "rank_parameter": rank_to_json(N), "fset": fset_to_json(fs)}
-    lines = ["  ".join(str(x) for x in row) for row in N.rows]
-    _emit(args, data, "\n".join(lines))
+    _emit(args, data, lambda: "\n".join("  ".join(map(str, row)) for row in N.rows))
     return 0
 
 
@@ -201,9 +201,13 @@ def _cmd_slice(args):
             )
         restrictions.append(item)
     data = {"pq": [idx.p, idx.q], "slice": slice_to_json(srep), "restrictions": restrictions}
-    group = " x ".join(f"GL({m})" for m in srep.group_factors())
-    w = " + ".join(f"M({a},{b})" for a, b in srep.w_summands())
-    _emit(args, data, f"{group}\nW = {w if w else '0'}")
+
+    def text():
+        group = " x ".join(f"GL({m})" for m in srep.group_factors())
+        w = " + ".join(f"M({a},{b})" for a, b in srep.w_summands())
+        return f"{group}\nW = {w if w else '0'}"
+
+    _emit(args, data, text)
     return 0
 
 

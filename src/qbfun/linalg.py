@@ -94,7 +94,7 @@ def _step(v, p, j):
     return m, c
 
 
-def _eliminate(rows):
+def _eliminate(rows, base=None):
     """Fraction-free forward elimination of the rows {column: entry}.
 
     Each row is reduced by _step against the pivot rows found so far,
@@ -103,6 +103,12 @@ def _eliminate(rows):
     den is the product of the lifts and of the steps' m / c.  The given
     dicts are left unchanged, and a row is lifted to integers only if it
     holds an entry that is not an int.
+
+    base, if given, holds pivot rows found before, keyed the same way:
+    the rows are reduced against them too, and only the new pivots are
+    returned, so the rank of base's rows and the given rows together is
+    len(base) + len(pivots).  base is read and never changed, nor is any
+    row in it.
     """
     pivots = {}
     num = den = 1
@@ -114,6 +120,8 @@ def _eliminate(rows):
         while v:
             lead = min(v)
             p = pivots.get(lead)
+            if p is None and base:
+                p = base.get(lead)
             if p is None:
                 pivots[lead] = v
                 break

@@ -52,15 +52,48 @@ class RankParameter(Record):
 
 
 def rank_parameter(q: QuiverA, n, rep: MatrixRep) -> RankParameter:
-    """N_ij = rank of the sink/source map of the subquiver [i, j]; N_ii = n_i."""
+    """N_ij = rank of the sink/source map of the subquiver [i, j]; N_ii = n_i.
+
+    The block matrix of [i, j] has one block per monotone run of the
+    path, the product along the run, and neighbouring runs share a sink
+    or a source.  For a fixed i only the last run changes as j grows.
+    So the rows of the runs before it are eliminated once, into the
+    settled pivots, and each step eliminates only the live rows against
+    them: the last run's block, joined with the previous run's block
+    when the last run points left and the two share its sink.  The
+    blocks are read from the path products along each monotone stretch,
+    built once per call.
+    """
     dims = rep.dims
     if dims != tuple(n):
         raise ShapeError("representation dimensions do not match the quiver or the dimension vector")
     mats = _edge_rows(q, rep.check(q))
+    d = q.directions
+    # every run of [i, j] but the first starts where the direction turns
+    turns = {t: _stretch(q, mats, t) for t in range(2, q.r) if d[t - 1] != d[t - 2]}
     rows = []
     for i in q.vertices():
-        ranks = (linalg.sparse_rank(_block_rows(runs)) for runs in _run_walk(q, mats, i))
-        rows.append((dims[i - 1], *ranks))
+        row = [dims[i - 1]]
+        settled, new, shared = {}, {}, None
+        t, stretch = i, turns[i] if i in turns else _stretch(q, mats, i)
+        while True:
+            last = None
+            for block in stretch:
+                if block is not last:
+                    live = block.values() if shared is None else _joined(shared, block)
+                    new, last = linalg._eliminate(live, settled)[0], block
+                row.append(len(settled) + len(new))
+            t += len(stretch)
+            if t == q.r:
+                break
+            # a run opens at t: a rightward one settles the rows before it
+            if d[t - 1] == RIGHT:
+                settled.update(new)
+                shared = None
+            else:
+                shared = block
+            stretch = turns[t]
+        rows.append(tuple(row))
     return RankParameter(tuple(rows))
 
 
@@ -81,26 +114,25 @@ def _edge_rows(q: QuiverA, rep: MatrixRep):
     return mats
 
 
-def _run_walk(q: QuiverA, mats, i: int):
-    """Yield the monotone runs of [i, j] for j = i+1, ..., r, updated in place.
+def _stretch(q: QuiverA, mats, t: int):
+    """The path products from t along its monotone stretch, in the form of _edge_rows.
 
-    A run is [sink, source, block], the block being the path product from
-    the source to the sink in the form of _edge_rows.  Edge j extends the
-    last run when its direction repeats, one product at the run's far
-    end, and opens a run otherwise.
+    Entry k is the block of the run from t to t + k + 1: the product from
+    its source to its sink, one product per edge onto the one before.
+    Once a product vanishes, the entries after it are that same empty
+    block, so rank_parameter sees the live rows unchanged.
     """
-    runs = []
-    for j in range(i, q.r):
-        d, a = q.directions[j - 1], mats[j - 1]
-        if j > i and d == q.directions[j - 2]:
-            run = runs[-1]
-            if d == RIGHT:
-                run[0], run[2] = j + 1, _sparse_mul(a, run[2])
-            else:
-                run[1], run[2] = j + 1, _sparse_mul(run[2], a)
-        else:
-            runs.append([j + 1, j, a] if d == RIGHT else [j, j + 1, a])
-        yield runs
+    blocks = []
+    for j in range(t, q.r):
+        if q.directions[j - 1] != q.directions[t - 1]:
+            break
+        a = mats[j - 1]
+        if blocks and not blocks[-1]:
+            a = blocks[-1]
+        elif blocks:
+            a = _sparse_mul(a, blocks[-1]) if q.directions[t - 1] == RIGHT else _sparse_mul(blocks[-1], a)
+        blocks.append(a)
+    return blocks
 
 
 def _sparse_mul(x, y):
@@ -117,16 +149,12 @@ def _sparse_mul(x, y):
     return out
 
 
-def _block_rows(runs):
-    """Nonzero rows of the runs' block matrix, in the order of invariants.assemble.
-
-    Only neighbouring runs share a sink; its rows join their blocks.
-    """
-    rows = {}
-    for _, _, block in runs:
-        for k, row in block.items():
-            rows[k] = {**rows[k], **row} if k in rows else row
-    return [rows[k] for k in sorted(rows)]
+def _joined(x, y):
+    """The rows of the blocks x and y, those of a sink both share joined."""
+    rows = dict(x)
+    for k, row in y.items():
+        rows[k] = {**rows[k], **row} if k in rows else row
+    return rows.values()
 
 
 class Comparison(enum.Enum):

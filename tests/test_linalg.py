@@ -127,6 +127,25 @@ def test_pivots_out_of_column_order():
         assert linalg.det(a) == sign * upper[0][0] * upper[1][1] * upper[2][2] * upper[3][3]
 
 
+@pytest.mark.parametrize("fractions", [False, True])
+def test_elimination_against_settled_pivots(fractions):
+    """Rows eliminated against the pivots of other rows count the rank of both, and leave those pivots as they were."""
+    rng = random.Random(98 + fractions)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        a = random_matrix(rng, rng.randint(0, 6), n, fractions)
+        b = [list(row) for row in random_matrix(rng, rng.randint(0, 6), n, fractions)]
+        if a and b and rng.random() < 0.4:
+            # a row of b in the span of a's rows
+            b[0] = [x + rng.choice((1, -2, Fraction(1, 3))) * y for x, y in zip(a[-1], a[0])]
+        base = linalg._eliminate(dict(enumerate(row)) for row in a)[0]
+        frozen = {k: dict(p) for k, p in base.items()}
+        new = linalg._eliminate((dict(enumerate(row)) for row in b), base)[0]
+        assert base == frozen
+        assert not new.keys() & base.keys()
+        assert len(base) + len(new) == ref_rank(list(a) + b)
+
+
 def test_empty_shapes():
     assert linalg.rank(()) == 0
     assert linalg.rank(((), (), ())) == 0

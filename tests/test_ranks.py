@@ -257,6 +257,49 @@ def test_shared_products_match_per_pair_ranks_on_random_points():
             assert rank_parameter(q, n, rep).rows == per_pair_rank_parameter(q, rep)
 
 
+def sparse_point(q, n, rng):
+    """Entries in {-2, -1, 1, 3} at density 0.3, with about a third of the rows zero."""
+    def row(cols):
+        if rng.random() < 0.3:
+            return (0,) * cols
+        return tuple(rng.choice((-2, -1, 1, 3)) if rng.random() < 0.3 else 0 for _ in range(cols))
+
+    mats = (tuple(row(n.at(q.tail(a))) for _ in range(n.at(q.head(a)))) for a in q.edges())
+    return MatrixRep(n.entries, tuple(mats))
+
+
+def test_rank_parameters_of_random_points_are_pinned():
+    """Over 6,000 seeded points on chains with r = 1..14, every third chain alternating.
+
+    Each chain gives the exact-diagram point of its first invariant, if it
+    has one, and three sparse integer points.  The digest was taken from
+    the per-pair elimination of freshly assembled block rows, before the
+    walk kept settled pivots.
+    """
+    from qbfun import QuiverA
+
+    rng = random.Random(18)
+    digest = hashlib.sha256()
+    count = chains = 0
+    while count < 6000:
+        r = rng.randint(1, 14)
+        if chains % 3:
+            directions = tuple(rng.choice((1, -1)) for _ in range(r - 1))
+        else:
+            first = rng.choice((1, -1))
+            directions = tuple(first * (-1) ** e for e in range(r - 1))
+        q = QuiverA(r, directions)
+        n = DimVector(tuple(rng.randint(1, 3) for _ in range(r)))
+        reps = [exact_rep(q, n, idx.p, idx.q) for idx in enumerate_invariants(q, n)[:1]]
+        reps += [sparse_point(q, n, rng) for _ in range(3)]
+        for rep in reps:
+            digest.update(repr((directions, rep.dims, rank_parameter(q, n, rep).rows)).encode())
+        count += len(reps)
+        chains += 1
+    assert count == 6002
+    assert digest.hexdigest() == "2f8a894843e4d19cd48e16670c354f285acde7e41ddadb2f8a8ca270d5b87b3d"
+
+
 def direct_sum(q, x, y):
     """The point x + y, with block-diagonal edge matrices."""
     mats = []
@@ -315,6 +358,16 @@ def test_run_walk_matches_per_pair_ranks():
                 both = per_pair_rank_parameter(q, direct_sum(q, full, rep))
                 assert tuple(tuple(map(add, x, y)) for x, y in zip(walk, full_rows)) == both
 
+    # Alternating chains R,L,R,... and L,R,L,...: every leftward run shares its sink with the run before it.
+    for r in range(2, 10):
+        for first in (1, -1):
+            q = QuiverA(r, tuple(first * (-1) ** e for e in range(r - 1)))
+            n = DimVector(tuple(rng.randint(1, 4) for _ in range(r)))
+            reps = [MatrixRep.random(q, n, rng), MatrixRep.random(q, n, rng, 0, 1), MatrixRep.random(q, n, rng, -1, 1)]
+            reps += [exact_rep(q, n, idx.p, idx.q) for idx in enumerate_invariants(q, n)]
+            for rep in reps:
+                assert rank_parameter(q, n, rep).rows == per_pair_rank_parameter(q, rep)
+
 
 def test_rank_parameter_rejects_mismatched_shapes():
     q2, q3 = parse_quiver("1->2"), parse_quiver("1->2<-3")
@@ -327,22 +380,24 @@ def test_rank_parameter_rejects_mismatched_shapes():
 
 
 def test_path_products_match_plain_chains_in_any_order():
-    """Every block of the run walk is the plain product along its run's path."""
+    """Every block of the stretch table is the plain product along its run's path."""
     from qbfun import linalg
     from qbfun.invariants import block_structure
-    from qbfun.ranks import _edge_rows, _run_walk
+    from qbfun.ranks import _edge_rows, _stretch
 
     rng = random.Random(48)
     for _ in range(20):
         q, n, _ = random_instance(rng, rmax=7, nmax=4)
-        rep = MatrixRep.random(q, n, rng)
         base = [sum(n.entries[: v - 1]) for v in range(1, q.r + 1)]
-        mats = _edge_rows(q, rep)
-        for i in q.vertices():
-            for j, runs in enumerate(_run_walk(q, mats, i), start=i + 1):
-                entries = block_structure(q, i, j).entries
-                assert sorted(entries) == sorted((sigma, tau) for sigma, tau, _ in runs)
-                for sigma, tau, block in runs:
+        for rep in (MatrixRep.random(q, n, rng), sparse_point(q, n, rng)):
+            mats = _edge_rows(q, rep)
+            for t in q.vertices():
+                stretch = _stretch(q, mats, t)
+                turn = next((j for j in range(t + 1, q.r) if q.directions[j - 1] != q.directions[t - 1]), q.r)
+                assert len(stretch) == turn - t
+                for j, block in enumerate(stretch, start=t + 1):
+                    entries = block_structure(q, t, j).entries
+                    ((sigma, tau),) = entries
                     r0, c0 = base[sigma - 1], base[tau - 1]
                     dense = tuple(
                         tuple(block.get(r0 + r, {}).get(c0 + c, 0) for c in range(n.at(tau)))
