@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import linalg
 from .errors import ShapeError
 from .invariants import InvariantIndex, MatrixRep, check_invariant
 from .quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
@@ -107,6 +108,7 @@ def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
 
 def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:
     """0/1 edge matrices: connected dots map basis vector to basis vector."""
+    check_dims(q, n)
     cols = tuple(n)
     if d.columns != cols:
         raise ShapeError("diagram column sizes do not match the dimension vector")
@@ -120,7 +122,8 @@ def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:
             else:
                 m[dl - 1][dr - 1] = 1
         mats.append(m)
-    return MatrixRep.build(q, cols, mats)
+    # each shape follows from cols, so the record needs no MatrixRep.check
+    return MatrixRep(cols, tuple(linalg.mat(m) for m in mats))
 
 
 class Strand(Record):

@@ -10,6 +10,7 @@ nonzero blocks are the path products along its monotone runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from . import linalg
@@ -43,12 +44,10 @@ def _check_pair(q: QuiverA, p: int, qq: int) -> None:
 
 
 def invariant_index(q: QuiverA, p: int, qq: int) -> InvariantIndex:
-    """Build an InvariantIndex for (p, q), computing alpha and beta."""
+    """Build an InvariantIndex for (p, q), reading alpha and beta off the positions of p and q in nu."""
     _check_pair(q, p, qq)
     nu = sinks_sources(q)
-    alpha = next(k for k in range(1, len(nu)) if nu[k - 1] <= p < nu[k])
-    beta = next(k for k in range(len(nu) - 1) if nu[k] < qq <= nu[k + 1])
-    return InvariantIndex(p, qq, alpha, beta)
+    return InvariantIndex(p, qq, bisect_right(nu, p), bisect_left(nu, qq) - 1)
 
 
 def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
@@ -61,12 +60,8 @@ def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
     if not -1 <= kappa <= idx.beta - idx.alpha:
         raise ShapeError(f"kappa = {kappa} out of range -1..{idx.beta - idx.alpha}")
     nu = sinks_sources(q)
-    total = 0
-    sign = 1
-    for tau in range(kappa + 1):
-        total += sign * n.at(nu[idx.alpha + kappa - tau])
-        sign = -sign
-    return total + sign * n.at(idx.p)
+    vertices = (*nu[idx.alpha + kappa : idx.alpha - 1 : -1], idx.p)  # nu(alpha+kappa), ..., nu(alpha), p
+    return sum(n.at(v) * (-1) ** k for k, v in enumerate(vertices))
 
 
 def _walk(q: QuiverA, n: DimVector, p: int):
@@ -78,12 +73,12 @@ def _walk(q: QuiverA, n: DimVector, p: int):
     most one partner, and the walk from an invariant's p yields the
     levels into its columns p+1..q.
     """
-    c = n.at(p)
+    c, turns = n.at(p), q.turns
     for t in range(p + 1, q.r + 1):
         yield t, c
         if n.at(t) <= c:
             return
-        if q.is_sink(t) or q.is_source(t):
+        if t in turns:
             c = n.at(t) - c
 
 
@@ -159,29 +154,19 @@ class BlockMatrixSpec(Record):
         )
 
 
-def _runs(q: QuiverA, lo: int, hi: int):
-    """Monotone runs of Q^{(lo,hi)} as (start, end, direction) triples."""
-    d = q.directions  # d[v - 2] != d[v - 1]: v is an interior sink or source
-    cuts = [lo] + [v for v in range(lo + 1, hi) if d[v - 2] != d[v - 1]] + [hi]
-    return [(cuts[k], cuts[k + 1], d[cuts[k] - 1]) for k in range(len(cuts) - 1)]
-
-
 def block_structure(q: QuiverA, lo: int, hi: int) -> BlockMatrixSpec:
-    """Block layout for any pair lo < hi; no squareness requirement."""
+    """Block layout for any pair lo < hi, one block per monotone run between the turns; not always square."""
     if not 1 <= lo < hi <= q.r:
         raise ShapeError(f"need 1 <= i < j <= {q.r}, got ({lo}, {hi})")
-    sinks, sources, entries = set(), set(), {}
-    for start, end, direction in _runs(q, lo, hi):
-        if direction == RIGHT:
-            sigma, tau = end, start
-            path = tuple(range(end - 1, start - 1, -1))
+    cuts = [lo, *(v for v in range(lo + 1, hi) if v in q.turns), hi]
+    entries = {}
+    for start, end in zip(cuts, cuts[1:]):
+        if q.directions[start - 1] == RIGHT:
+            entries[(end, start)] = tuple(range(end - 1, start - 1, -1))
         else:
-            sigma, tau = start, end
-            path = tuple(range(start, end))
-        sinks.add(sigma)
-        sources.add(tau)
-        entries[(sigma, tau)] = path
-    return BlockMatrixSpec(lo, hi, tuple(sorted(sinks)), tuple(sorted(sources)), entries)
+            entries[(start, end)] = tuple(range(start, end))
+    sinks, sources = zip(*entries)
+    return BlockMatrixSpec(lo, hi, tuple(sorted(set(sinks))), tuple(sorted(set(sources))), entries)
 
 
 def block_spec(q: QuiverA, n: DimVector, idx: InvariantIndex) -> BlockMatrixSpec:

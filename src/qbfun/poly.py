@@ -8,11 +8,13 @@ adding their keys.  The top bit of each field is a guard: an exponent is at
 most 2^15 - 1, and a sum that reaches a guard bit raises
 BudgetExceededError instead of carrying into the next variable.
 
-Coefficients are ints; a Fraction appears only where exact division meets
-a quotient coefficient that is not integral.  Only this module reads the
-key format: other modules go through ``monomials`` and ``from_monomials``.
-Every product and every sum of products runs through one in-place loop,
-``_add_product``; ``Accumulator`` offers it to other modules.
+Coefficients are ints where integral, else Fractions: from exact division,
+from ``ratio``'s beta, and from a product or sum with a Fraction, such as
+``engine * constant`` in oracle.apply_bernstein_multi.  Only this module
+reads the key format: other modules go through ``monomials`` and
+``from_monomials``.  Every product and every sum of products runs through
+one in-place loop, ``_add_product``; ``Accumulator`` offers it to other
+modules.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ LEFT = -1
 class QuiverA(Record):
     """Orientation data of a type-A quiver with ``r`` vertices."""
 
-    __slots__ = ("r", "directions", "__dict__")  # __dict__ holds the cached _rights
+    __slots__ = ("r", "directions", "__dict__")  # __dict__ holds the cached turns, _nu and _rights
 
     def __init__(self, r: int, directions: tuple[int, ...]):
         if r < 1:
@@ -56,11 +56,21 @@ class QuiverA(Record):
 
     def is_sink(self, v: int) -> bool:
         """Interior sink: both neighbouring edges point at ``v``."""
-        return 1 < v < self.r and self.delta(v - 1) == RIGHT and self.delta(v) == LEFT
+        return v in self.turns and self.directions[v - 2] == RIGHT
 
     def is_source(self, v: int) -> bool:
         """Interior source: both neighbouring edges point away from ``v``."""
-        return 1 < v < self.r and self.delta(v - 1) == LEFT and self.delta(v) == RIGHT
+        return v in self.turns and self.directions[v - 2] == LEFT
+
+    @cached_property
+    def turns(self) -> frozenset[int]:
+        """The interior sinks and sources: the vertices whose two edges point different ways."""
+        d = self.directions
+        return frozenset(v for v in range(2, self.r) if d[v - 2] != d[v - 1])
+
+    @cached_property
+    def _nu(self) -> tuple[int, ...]:  # the sink/source sequence that sinks_sources returns
+        return tuple(sorted(self.turns | {1, self.r}))
 
     @cached_property
     def _rights(self) -> tuple[int, ...]:  # [k] = rightward edges among 1..k, k = 0..r-1
@@ -164,11 +174,7 @@ def sinks_sources(q: QuiverA) -> tuple[int, ...]:
     Interior entries are exactly the sinks and sources of the quiver;
     the two endpoints are always included.
     """
-    if q.r == 1:
-        return (1,)
-    d = q.directions
-    inner = [v for v in range(2, q.r) if d[v - 2] != d[v - 1]]
-    return (1, *inner, q.r)
+    return q._nu
 
 
 def dual(q: QuiverA) -> QuiverA:

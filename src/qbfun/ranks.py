@@ -16,13 +16,8 @@ from functools import lru_cache
 from . import linalg
 from .bfun import FactoredBFunction, b_one_variable
 from .diagrams import exact_diagram, strands
-from .errors import DiagnosticError, ShapeError
-from .invariants import (
-    InvariantIndex,
-    MatrixRep,
-    invariant_index,
-    is_invariant,
-)
+from .errors import DiagnosticError, NotAnInvariantError, ShapeError
+from .invariants import InvariantIndex, MatrixRep, check_invariant, invariant_index
 from .quiver import RIGHT, DimVector, Interval, QuiverA, interval_euler_form, interval_vector
 from .record import Record, setfield
 
@@ -69,8 +64,8 @@ def rank_parameter(q: QuiverA, n, rep: MatrixRep) -> RankParameter:
         raise ShapeError("representation dimensions do not match the quiver or the dimension vector")
     mats = _edge_rows(q, rep.check(q))
     d = q.directions
-    # every run of [i, j] but the first starts where the direction turns
-    turns = {t: _stretch(q, mats, t) for t in range(2, q.r) if d[t - 1] != d[t - 2]}
+    # every run of [i, j] but the first starts at a turn
+    turns = {t: _stretch(q, mats, t) for t in q.turns}
     rows = []
     for i in q.vertices():
         row = [dims[i - 1]]
@@ -117,21 +112,22 @@ def _edge_rows(q: QuiverA, rep: MatrixRep):
 def _stretch(q: QuiverA, mats, t: int):
     """The path products from t along its monotone stretch, in the form of _edge_rows.
 
-    Entry k is the block of the run from t to t + k + 1: the product from
-    its source to its sink, one product per edge onto the one before.
-    Once a product vanishes, the entries after it are that same empty
-    block, so rank_parameter sees the live rows unchanged.
+    The stretch ends at the next turn or at r.  Entry k is the block of the
+    run from t to t + k + 1: the product from its source to its sink, one
+    product per edge onto the one before.  Once a product vanishes, the
+    entries after it are that same empty block, so rank_parameter sees the
+    live rows unchanged.
     """
     blocks = []
     for j in range(t, q.r):
-        if q.directions[j - 1] != q.directions[t - 1]:
-            break
         a = mats[j - 1]
         if blocks and not blocks[-1]:
             a = blocks[-1]
         elif blocks:
             a = _sparse_mul(a, blocks[-1]) if q.directions[t - 1] == RIGHT else _sparse_mul(blocks[-1], a)
         blocks.append(a)
+        if j + 1 in q.turns:
+            break
     return blocks
 
 
@@ -367,10 +363,13 @@ def restricted_invariant_shape(
 
     local_q = QuiverA(len(walk), tuple(directions))
     local_n = DimVector(tuple(counts[v] for v in walk))
-    if not is_invariant(local_q, local_n, 1, len(walk)):
-        raise DiagnosticError("transferred arrows do not bound a local invariant")
     local_idx = invariant_index(local_q, 1, len(walk))
-    expected = exact_diagram(local_q, local_n, local_idx).edge_counts()
+    try:
+        levels = check_invariant(local_q, local_n, local_idx)
+    except NotAnInvariantError:
+        raise DiagnosticError("transferred arrows do not bound a local invariant") from None
+    # the local exact diagram carries c connections on the edge into each level (t, c)
+    expected = tuple(c for _, c in levels)
     if expected != tuple(got):
         raise DiagnosticError(
             f"transferred arrow counts {tuple(got)} do not match the local exact diagram {expected}"

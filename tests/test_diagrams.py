@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from conftest import ALT5, EQUI5, instance, random_instance
+from test_acceptance import shared_instances
 from qbfun import (
     Interval,
     LaceDiagram,
@@ -20,6 +21,7 @@ from qbfun import (
 )
 from qbfun.diagrams import empty_diagram
 from qbfun.errors import ShapeError
+from qbfun.invariants import MatrixRep
 
 
 def test_complete_diagram_edge_counts():
@@ -76,6 +78,21 @@ def test_matrices_of_exact_diagram_include_identity_block():
     rep = diagram_to_matrices(q, n, exact_diagram(q, n, invariant_index(q, 3, 4)))
     assert rep.matrix(3) == tuple(tuple(1 if i == j else 0 for j in range(6)) for i in range(6))
     assert all(all(x == 0 for x in row) for row in rep.matrix(1))
+
+
+def test_diagram_matrices_equal_the_checked_build():
+    """diagram_to_matrices builds its record unchecked; MatrixRep.build of the same matrices checks and agrees."""
+    for q, n, invs in shared_instances():
+        for d in (complete_diagram(q, n), *(exact_diagram(q, n, idx) for idx in invs)):
+            rep = diagram_to_matrices(q, n, d)
+            assert rep == MatrixRep.build(q, tuple(n), rep.matrices)
+    q, n = instance(*EQUI5)
+    with pytest.raises(ShapeError):
+        diagram_to_matrices(q, (2, 5, 6, 6, 3), complete_diagram(q, n))
+    short, n2 = instance("1->2", (2, 5))
+    for longer in (q, instance("1->2->3", (2, 5, 1))[0]):
+        with pytest.raises(ShapeError):
+            diagram_to_matrices(longer, n2, complete_diagram(short, n2))
 
 
 def test_empty_diagram_gives_zero_matrices():

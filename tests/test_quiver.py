@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from conftest import random_quiver
 from qbfun import DimVector, Interval, dual, euler_form, interval_vector, parse_quiver, sinks_sources
 from qbfun.errors import QuiverParseError, ShapeError
+from qbfun.invariants import _walk, block_structure
 from qbfun.quiver import LEFT, RIGHT, QuiverA, interval_euler_form
 
 
@@ -148,8 +151,50 @@ def test_interval_euler_form_matches_euler_form():
                 interval_euler_form(q, *pair)
 
 
+def _reference_entries(q, lo, hi):
+    """block_structure(q, lo, hi).entries from delta alone: one block per maximal run of like edges."""
+    entries, start = {}, lo
+    while start < hi:
+        end = start + 1
+        while end < hi and q.delta(end) == q.delta(start):
+            end += 1
+        if q.delta(start) == RIGHT:
+            entries[(end, start)] = tuple(range(end - 1, start - 1, -1))
+        else:
+            entries[(start, end)] = tuple(range(start, end))
+        start = end
+    return entries
+
+
+def _reference_levels(q, n, p):
+    """The walk's levels from p, with the level flipped where delta changes."""
+    c, levels = n.at(p), []
+    for t in range(p + 1, q.r + 1):
+        levels.append((t, c))
+        if n.at(t) <= c:
+            break
+        if t < q.r and q.delta(t - 1) != q.delta(t):
+            c = n.at(t) - c
+    return levels
+
+
 def test_sinks_sources_matches_delta_reference():
-    for q in _seeded_chains():
-        inner = [v for v in range(2, q.r) if q.delta(v - 1) != q.delta(v)]
-        expected = (1,) if q.r == 1 else (1, *inner, q.r)
-        assert sinks_sources(q) == expected
+    """The cached turns, and all that reads them, against delta; also on pickled and copied quivers."""
+    rng = random.Random(12)
+    chains = [*_seeded_chains(), *(random_quiver(rng, r, r) for r in range(1, 13) for _ in range(3))]
+    assert {q.r for q in chains} >= set(range(1, 13))
+    for original in chains:
+        n = DimVector(tuple(rng.randint(1, 6) for _ in range(original.r)))
+        for q in (original, pickle.loads(pickle.dumps(original)), copy.copy(original), copy.deepcopy(original)):
+            inner = [v for v in range(2, q.r) if q.delta(v - 1) != q.delta(v)]
+            expected = (1,) if q.r == 1 else (1, *inner, q.r)
+            assert sinks_sources(q) == expected
+            assert q.turns == set(inner)
+            for v in range(0, q.r + 2):
+                interior = 1 < v < q.r
+                assert q.is_sink(v) == (interior and q.delta(v - 1) == RIGHT and q.delta(v) == LEFT)
+                assert q.is_source(v) == (interior and q.delta(v - 1) == LEFT and q.delta(v) == RIGHT)
+            for i in q.vertices():
+                for j in range(i + 1, q.r + 1):
+                    assert block_structure(q, i, j).entries == _reference_entries(q, i, j), (str(q), i, j)
+                assert list(_walk(q, n, i)) == _reference_levels(q, n, i), (str(q), str(n), i)
