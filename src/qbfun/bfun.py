@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from .errors import DiagnosticError, ShapeError
+from .errors import ShapeError
 from .invariants import InvariantIndex, check_invariant, enumerate_invariants
 from .quiver import DimVector, QuiverA
 from .record import Record, setfield
@@ -35,7 +35,8 @@ class LinearForm(Record):
         return tuple(i + 1 for i, c in enumerate(self.coeffs) if c)
 
     def sort_key(self):
-        return (len(self.support), self.support, self.constant)
+        support = self.support
+        return (len(support), support, self.constant)
 
     def value(self, s) -> Fraction:
         return sum((Fraction(c) * Fraction(x) for c, x in zip(self.coeffs, s)), Fraction(self.constant))
@@ -67,7 +68,7 @@ class FactoredBFunction(Record):
         for form, mult in factors:
             if len(form.coeffs) != num_labels:
                 raise ShapeError("factor coefficient length does not match label count")
-            if mult < 1 or form.constant < 1 or not form.support:
+            if mult < 1 or form.constant < 1 or not any(form.coeffs):
                 raise ShapeError("factors need multiplicity >= 1, constant >= 1, nonempty support")
         setfield(self, "num_labels", num_labels)
         setfield(self, "factors", factors)
@@ -218,6 +219,9 @@ def merge_columns(fsets):
     The F-sets carry the labels 1..l in order.
     On edge k-1 of a diagram a constant names exactly one arrow, so this
     is also the merge of the F-sets' exact diagrams arrow by arrow.
+    One sweep over each F-set's non-empty ranges collects the labels of
+    every (column, constant); a range holds each constant once, so a
+    label is collected at most once per form.
     """
     fsets = tuple(fsets)
     if not fsets:
@@ -225,19 +229,17 @@ def merge_columns(fsets):
     r = fsets[0].r
     if any(fs.r != r for fs in fsets):
         raise ShapeError("all F-sets must share the column count")
-    for k in range(2, r + 1):
-        by_constant = {}
-        for label, fs in enumerate(fsets, start=1):
-            for c in fs.members(k):
-                by_constant.setdefault(c, []).append(label)
+    columns = [{} for _ in range(r - 1)]  # column k = 2..r: constant -> labels, 0-based
+    for label, fs in enumerate(fsets):
+        for by_constant, rng in zip(columns, fs.ranges):
+            if rng is not None:
+                for c in range(rng[0], rng[1] + 1):
+                    by_constant.setdefault(c, []).append(label)
+    for k, by_constant in enumerate(columns, start=2):
         for c in sorted(by_constant):
             coeffs = [0] * len(fsets)
             for label in by_constant[c]:
-                if coeffs[label - 1]:
-                    raise DiagnosticError(
-                        f"label {label} contributes twice to constant {c} at column {k}"
-                    )
-                coeffs[label - 1] = 1
+                coeffs[label] = 1
             yield k, LinearForm(tuple(coeffs), c)
 
 

@@ -102,13 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--multi", help="also check the several-variable identity at these shifts, e.g. '1,0'")
     sub.add_argument("--grad", action="store_true", help="also check grad-log against exact diagrams")
     sub.add_argument("--afun", action="store_true", help="also check the a-function symbolically")
+    parser.commands = subs.choices  # name -> subcommand parser, for cli_main's direct dispatch
     return parser
+
+
+# Largest sum of --dims.  It bounds the vertices, the dots of a diagram and
+# the side of every matrix a command builds, so it is checked before any work.
+MAX_DIMENSION_SUM = 1024
 
 
 def _instance(args):
     """Quiver, dimension vector and the --pq index (None without one), validated as input."""
     q = parse_quiver(args.quiver)
     n = DimVector.parse(args.dims)
+    if sum(n.entries) > MAX_DIMENSION_SUM:
+        raise QuiverParseError(f"--dims sums to {sum(n.entries)}, above the limit {MAX_DIMENSION_SUM}")
     if len(n) != q.r:
         raise QuiverParseError(f"--dims has {len(n)} entries for a quiver with {q.r} vertices")
     if getattr(args, "pq", None) is None:
@@ -287,8 +295,19 @@ _EXIT_CODES = {
 
 def cli_main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A known command goes straight to its own parser: parse_args would hand
+    # it the rest of argv and report what it leaves over, in these words.
+    # No argv, a help request or an unknown command goes through parse_args.
+    sub = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if sub is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = sub.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

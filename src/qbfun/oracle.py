@@ -31,6 +31,12 @@ from .poly import Accumulator, MultiPolynomial, VarTable
 from .quiver import DimVector, QuiverA
 from .record import Record, setfield
 
+# Largest degree sum m_i * deg f_i of the --multi operator prod f_i^{m_i}.
+# Its work grows about as the cube of the shifts even where every
+# polynomial keeps a few terms and no term budget fires; the shifts
+# m in {0,1,2}^k of the criterion-5 family need at most 18.
+MAX_OPERATOR_DEGREE = 64
+
 
 class Budget(Record):
     """Term and size limits; exceeding one aborts with a structured error."""
@@ -448,7 +454,9 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     Applies prod_i f_i^{m_i}, the product of the dual invariants (f_i* =
     f_i) to their powers, to the product of f_i^{s_i + m_i}, reads b(s)
     off the layers (_bernstein_b), and compares with the superposition
-    engine's bracket product expanded at the same m.
+    engine's bracket product expanded at the same m.  An operator of
+    degree above MAX_OPERATOR_DEGREE raises BudgetExceededError
+    ("operator degree") before it is built.
     """
     budget = budget or Budget()
     invariants = enumerate_invariants(q, n)
@@ -459,6 +467,9 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         raise ShapeError("shifts must be non-negative integers")
     table = variable_table(q, n)
     fs = [expand_invariant(q, n, idx, table, budget) for idx in invariants]
+    degree = sum(mi * f.total_degree() for f, mi in zip(fs, m))
+    if degree > MAX_OPERATOR_DEGREE:
+        raise BudgetExceededError("operator degree", degree, MAX_OPERATOR_DEGREE)
 
     operator = MultiPolynomial.const(table, 1)
     for f, mi in zip(fs, m):

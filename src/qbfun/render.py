@@ -37,11 +37,8 @@ class LabeledDiagram(Record):
 def column_offsets(q: QuiverA, columns) -> tuple[int, ...]:
     """Vertical offset of each column's bottom dot under the alignment rule."""
     offsets = [0]
-    for a in q.edges():
-        if q.delta(a) == RIGHT:
-            offsets.append(offsets[-1])
-        else:
-            offsets.append(offsets[-1] + columns[a - 1] - columns[a])
+    for direction, left, right in zip(q.directions, columns, columns[1:]):
+        offsets.append(offsets[-1] if direction == RIGHT else offsets[-1] + left - right)
     base = min(offsets)
     return tuple(off - base for off in offsets)
 
@@ -68,49 +65,49 @@ def superposed_diagram(q: QuiverA, n: DimVector) -> LabeledDiagram:
 
 
 def render_ascii(ld: LabeledDiagram) -> str:
+    """Dot rows interleaved with label rows, drawn on one byte canvas.
+
+    Each row is width cells and a newline.  A column of dots is one
+    strided slice write; an arrow and its label are one slice write each.
+    The writes never overlap: dots sit at the column positions, and each
+    edge's arrows and labels fill the gutter between two columns, one
+    dot row (and the label row above it) per left dot.
+    """
     q, d = ld.quiver, ld.diagram
     offsets = column_offsets(q, d.columns)
     height = max(off + size for off, size in zip(offsets, d.columns))
-    nrows = 2 * height  # dot rows interleaved with label rows
-    gutters = []
-    for a in q.edges():
-        widest = max(
-            (len(ld.labels[(a, pair)].label_text()) for pair in d.edge(a) if (a, pair) in ld.labels),
-            default=0,
-        )
-        gutters.append(max(widest + 2, 5))
+    texts = {key: form.label_text().encode() for key, form in ld.labels.items()}
+    widest = [0] * len(d.connections)
+    for (a, _), text in texts.items():
+        widest[a - 1] = max(widest[a - 1], len(text))
     col_x = [0]
-    for w in gutters:
-        col_x.append(col_x[-1] + 1 + w)
-    width = col_x[-1] + 1
-    canvas = [[" "] * width for _ in range(nrows)]
-
-    def dot_row(col, dot):
-        return nrows - 1 - 2 * (offsets[col - 1] + dot - 1)
-
-    for col in range(1, q.r + 1):
-        for dot in range(1, d.columns[col - 1] + 1):
-            canvas[dot_row(col, dot)][col_x[col - 1]] = "*"
-    for a in q.edges():
-        x0, x1 = col_x[a - 1], col_x[a]
-        for pair in sorted(d.edge(a)):
-            dl, _ = pair
-            row = dot_row(a, dl)
-            for x in range(x0 + 1, x1):
-                canvas[row][x] = "-"
-            if q.delta(a) == RIGHT:
-                canvas[row][x1 - 1] = ">"
-            else:
-                canvas[row][x0 + 1] = "<"
-            form = ld.labels.get((a, pair))
-            if form is not None:
-                text = form.label_text()
-                for k, ch in enumerate(text[: x1 - x0 - 1]):
-                    canvas[row - 1][x0 + 1 + k] = ch
-    lines = ["".join(line).rstrip() for line in canvas]
-    while lines and not lines[0]:
-        lines.pop(0)
-    return "\n".join(lines) + "\n"
+    for w in widest:
+        col_x.append(col_x[-1] + 1 + max(w + 2, 5))
+    stride = col_x[-1] + 2  # the cells of one row and its newline
+    canvas = bytearray((b" " * (stride - 1) + b"\n") * (2 * height))
+    bottom = (2 * height - 1) * stride  # start of the lowest dot row; dot k of a column sits 2(k-1) rows up
+    step = 2 * stride
+    for x, off, size in zip(col_x, offsets, d.columns):
+        at = bottom - step * off + x
+        canvas[at - step * (size - 1) : at + 1 : step] = b"*" * size
+    for a, pairs in enumerate(d.connections, start=1):
+        if not pairs:
+            continue
+        x0 = col_x[a - 1] + 1
+        gutter = col_x[a] - x0
+        shaft = b"-" * (gutter - 1)
+        drawn = shaft + b">" if q.directions[a - 1] == RIGHT else b"<" + shaft
+        row0 = bottom - step * (offsets[a - 1] - 1) + x0
+        for pair in pairs:
+            at = row0 - step * pair[0]
+            canvas[at : at + gutter] = drawn
+            text = texts.get((a, pair))
+            if text is not None:
+                canvas[at - stride : at - stride + len(text)] = text
+    lines = canvas.decode().split("\n")
+    lines.pop()  # the empty text after the last newline
+    # lstrip drops the top label row when no label sits on it
+    return "\n".join([line.rstrip() for line in lines]).lstrip("\n") + "\n"
 
 
 _SVG_COL_SPACING = 90

@@ -7,6 +7,7 @@ from itertools import product
 
 from qbfun import DimVector, QuiverA, enumerate_invariants, parse_quiver
 from qbfun import linalg
+from qbfun.quiver import LEFT, RIGHT
 
 
 def instance(text, dims):
@@ -69,6 +70,27 @@ def random_instance(rng: random.Random, rmax=7, nmax=6):
         invs = enumerate_invariants(q, n)
         if invs:
             return q, n, invs
+
+
+def reference_chains():
+    """Chains on which the renderer and the superposition must agree with tests/reference.py.
+
+    Seeded random chains with r <= 12 and dims <= 8, the one-vertex chain,
+    all-rightward and all-leftward chains from r = 2 up, and three seeded
+    r = 80 chains with dims 1..8 (the largest the engine benchmark draws).
+    """
+    rng = random.Random(2210)
+    chains = [random_instance(rng, rmax=12, nmax=8)[:2] for _ in range(150)]
+    chains += [(QuiverA(1, ()), DimVector((k,))) for k in (1, 3)]
+    for r in (2, 3, 5, 9, 12):
+        for direction in (RIGHT, LEFT):
+            for _ in range(3):
+                chains.append((QuiverA(r, (direction,) * (r - 1)), DimVector(tuple(rng.randint(1, 8) for _ in range(r)))))
+    for seed in (80, 81, 82):
+        chain_rng = random.Random(seed)
+        q = QuiverA(80, tuple(chain_rng.choice((RIGHT, LEFT)) for _ in range(79)))
+        chains.append((q, DimVector(tuple(chain_rng.randint(1, 8) for _ in range(80)))))
+    return chains
 
 
 def random_invertible(rng: random.Random, size: int, lo=-3, hi=3):

@@ -1,0 +1,122 @@
+"""Reference implementations that the faster library code must agree with.
+
+These are the cell-by-cell ASCII renderer (with the column layout it
+was written against), the column-by-column superposition and the CLI
+entry that sends every argv through ``build_parser().parse_args``.
+``qbfun.render``, ``qbfun.bfun.merge_columns`` and ``qbfun.cli.cli_main``
+replaced them; they are kept unchanged so the tests can require equal
+output from the new code.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from qbfun.bfun import LinearForm
+from qbfun.cli import _COMMANDS, _EXIT_CODES, build_parser
+from qbfun.errors import DiagnosticError, ShapeError
+from qbfun.quiver import RIGHT
+from qbfun.render import LabeledDiagram
+
+
+def column_offsets(q, columns) -> tuple[int, ...]:
+    """Vertical offset of each column's bottom dot under the alignment rule."""
+    offsets = [0]
+    for a in q.edges():
+        if q.delta(a) == RIGHT:
+            offsets.append(offsets[-1])
+        else:
+            offsets.append(offsets[-1] + columns[a - 1] - columns[a])
+    base = min(offsets)
+    return tuple(off - base for off in offsets)
+
+
+def render_ascii(ld: LabeledDiagram) -> str:
+    q, d = ld.quiver, ld.diagram
+    offsets = column_offsets(q, d.columns)
+    height = max(off + size for off, size in zip(offsets, d.columns))
+    nrows = 2 * height  # dot rows interleaved with label rows
+    gutters = []
+    for a in q.edges():
+        widest = max(
+            (len(ld.labels[(a, pair)].label_text()) for pair in d.edge(a) if (a, pair) in ld.labels),
+            default=0,
+        )
+        gutters.append(max(widest + 2, 5))
+    col_x = [0]
+    for w in gutters:
+        col_x.append(col_x[-1] + 1 + w)
+    width = col_x[-1] + 1
+    canvas = [[" "] * width for _ in range(nrows)]
+
+    def dot_row(col, dot):
+        return nrows - 1 - 2 * (offsets[col - 1] + dot - 1)
+
+    for col in range(1, q.r + 1):
+        for dot in range(1, d.columns[col - 1] + 1):
+            canvas[dot_row(col, dot)][col_x[col - 1]] = "*"
+    for a in q.edges():
+        x0, x1 = col_x[a - 1], col_x[a]
+        for pair in sorted(d.edge(a)):
+            dl, _ = pair
+            row = dot_row(a, dl)
+            for x in range(x0 + 1, x1):
+                canvas[row][x] = "-"
+            if q.delta(a) == RIGHT:
+                canvas[row][x1 - 1] = ">"
+            else:
+                canvas[row][x0 + 1] = "<"
+            form = ld.labels.get((a, pair))
+            if form is not None:
+                text = form.label_text()
+                for k, ch in enumerate(text[: x1 - x0 - 1]):
+                    canvas[row - 1][x0 + 1 + k] = ch
+    lines = ["".join(line).rstrip() for line in canvas]
+    while lines and not lines[0]:
+        lines.pop(0)
+    return "\n".join(lines) + "\n"
+
+
+def merge_columns(fsets):
+    """Merge the columns of several F-sets into multi-variable linear forms.
+
+    Yields (k, form) for columns k = 2..r, each column's forms ordered by
+    constant term.  At each column, forms with equal constant term are
+    combined by summing their label variables; empty columns are ignored.
+    The F-sets carry the labels 1..l in order.
+    On edge k-1 of a diagram a constant names exactly one arrow, so this
+    is also the merge of the F-sets' exact diagrams arrow by arrow.
+    """
+    fsets = tuple(fsets)
+    if not fsets:
+        return
+    r = fsets[0].r
+    if any(fs.r != r for fs in fsets):
+        raise ShapeError("all F-sets must share the column count")
+    for k in range(2, r + 1):
+        by_constant = {}
+        for label, fs in enumerate(fsets, start=1):
+            for c in fs.members(k):
+                by_constant.setdefault(c, []).append(label)
+        for c in sorted(by_constant):
+            coeffs = [0] * len(fsets)
+            for label in by_constant[c]:
+                if coeffs[label - 1]:
+                    raise DiagnosticError(
+                        f"label {label} contributes twice to constant {c} at column {k}"
+                    )
+                coeffs[label - 1] = 1
+            yield k, LinearForm(tuple(coeffs), c)
+
+
+def cli_main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return 0 if exc.code == 0 else 2
+    try:
+        return _COMMANDS[args.command](args)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))

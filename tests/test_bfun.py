@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALT5, EQUI5, A7, instance, random_instance
+import reference
+from conftest import ALT5, EQUI5, A7, instance, random_instance, reference_chains
 from qbfun import (
     DimVector,
     FSet,
@@ -22,6 +23,7 @@ from qbfun import (
     parse_quiver,
     superpose,
 )
+from qbfun.bfun import fset_of_invariant, invariant_fsets, merge_columns
 from qbfun.errors import ShapeError
 
 
@@ -303,3 +305,31 @@ def test_localization_divisibility_worked_examples():
         assert local == one_var(expected)
         full = b_one_variable(q, n, invariant_index(q, *f_pq))
         assert local.divides(full)
+
+
+def test_merge_columns_matches_the_reference():
+    """The one sweep yields what the column-by-column merge yielded.
+
+    All F-sets of each chain of reference_chains() together, each one
+    alone, and the empty list; F-sets of different lengths still raise.
+    """
+    for q, n in reference_chains():
+        fsets = invariant_fsets(q, n)
+        for group in [fsets, *([fs] for fs in fsets), []]:
+            assert list(merge_columns(group)) == list(reference.merge_columns(group)), (str(q), n.entries)
+    q, n = instance(*EQUI5)
+    short = fset_of_invariant(parse_quiver("1->2"), DimVector((2, 2)), invariant_index(parse_quiver("1->2"), 1, 2))
+    for merge in (merge_columns, reference.merge_columns):
+        with pytest.raises(ShapeError):
+            list(merge([*invariant_fsets(q, n), short]))
+
+
+def test_factors_need_a_nonempty_support():
+    """A factor whose coefficients are all zero is refused, as one with constant 0 is."""
+    with pytest.raises(ShapeError):
+        FactoredBFunction(2, ((LinearForm((0, 0), 3), 1),))
+    with pytest.raises(ShapeError):
+        FactoredBFunction(2, ((LinearForm((1, 0), 0), 1),))
+    form = LinearForm((0, 1, 1), 4)
+    assert FactoredBFunction(3, ((form, 2),)).factors == ((form, 2),)
+    assert form.sort_key() == (2, (2, 3), 4)

@@ -4,12 +4,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import reference
 from qbfun import DimVector, enumerate_invariants, parse_quiver
-from qbfun.cli import build_parser, cli_main
+from qbfun.cli import MAX_DIMENSION_SUM, build_parser, cli_main
+from qbfun.oracle import MAX_OPERATOR_DEGREE
 
 
 def run(capsys, *argv):
@@ -431,3 +434,75 @@ def test_diagram_has_no_format_option(capsys):
     assert cli_main(["diagram", "--help"]) == 0
     usage = capsys.readouterr().out
     assert "--render" in usage and "--format" not in usage
+
+
+def test_direct_dispatch_answers_like_parse_args(monkeypatch, capsys):
+    """A command sent straight to its own parser prints and exits as through build_parser().parse_args.
+
+    The 400 argvs of the fuzz test above, then no argv, help, an unknown
+    command, a subcommand's help, a leftover positional, an unknown option,
+    --opt=value forms, an abbreviated option and an option before the command.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("QBFUN_BUDGET", raising=False)
+    rng = random.Random(20261019)
+    argvs = [_mutated(rng, _valid_argv(rng)) for _ in range(400)]
+    request = ["--quiver", "1->2", "--dims", "2,2", "--pq", "1,2"]
+    argvs += [
+        [],
+        ["-h"],
+        ["--help"],
+        ["nope"],
+        ["bfun", "-h"],
+        ["diagram", "--help"],
+        ["bfun", *request, "extra"],
+        ["bfun", *request, "extra", "more"],
+        ["bfun", *request, "--bogus"],
+        ["bfun", *request, "--bogus", "x", "-h"],
+        ["bfun", "--quiver=1->2", "--dims=2,2", "--pq=1,2"],
+        ["bfun", "--qui", "1->2", "--dims", "2,2", "--pq", "1,2"],
+        ["--quiver", "1->2", "bfun", "--dims", "2,2", "--pq", "1,2"],
+        ["--", "bfun", *request],
+        ["bfun", *request, "--", "extra"],
+        ["bfun"],
+        ["invariants", "--quiver", "1->2", "--dims", "1,1", "--format"],
+    ]
+    for argv in argvs:
+        want = (reference.cli_main(list(argv)), *capsys.readouterr())
+        assert (cli_main(list(argv)), *capsys.readouterr()) == want, argv
+    assert cli_main(["bfun", *request, "extra"]) == 2
+    assert capsys.readouterr().err.endswith("qbfun: error: unrecognized arguments: extra\n")
+
+
+def test_dimension_sum_above_the_limit_is_an_input_error(capsys):
+    """Every command refuses --dims summing past MAX_DIMENSION_SUM before it builds anything."""
+    over = f"{MAX_DIMENSION_SUM},1"
+    huge = "100000000,100000000"
+    for argv in (
+        ["invariants"], ["bfun", "--pq", "1,2"], ["bfun-multi"], ["afun"], ["diagram", "--complete", "--render", "ascii"],
+        ["diagram", "--superposed", "--render", "svg"], ["ranks", "--pq", "1,2"], ["slice", "--pq", "1,2"],
+        ["verify", "--pq", "1,2", "--multi", "1"],
+    ):
+        for dims in (over, huge):
+            code = cli_main([*argv, "--quiver", "1->2", "--dims", dims])
+            captured = capsys.readouterr()
+            assert code == 2, argv
+            assert captured.out == "" and _one_error_line(captured.err), argv
+            assert str(MAX_DIMENSION_SUM) in captured.err
+    # the limit itself is allowed
+    assert cli_main(["invariants", "--quiver", "1->2", "--dims", f"{MAX_DIMENSION_SUM - 1},1"]) == 0
+    assert json.loads(capsys.readouterr().out) == []
+
+
+def test_multi_operator_degree_above_the_limit_exits_4(capsys):
+    """--multi 400 on one variable asks for a degree-400 operator: refused at once, with its own what."""
+    build_parser()
+    start = time.perf_counter()
+    code = cli_main(["verify", "--quiver", "1->2", "--dims", "1,1", "--multi", "400"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: budget exceeded: operator degree = 400 > {MAX_OPERATOR_DEGREE}\n"
+    assert elapsed < 0.1
+    code = cli_main(["verify", "--quiver", "1->2", "--dims", "1,1", "--multi", str(MAX_OPERATOR_DEGREE)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["ok"]

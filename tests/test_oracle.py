@@ -23,7 +23,7 @@ from qbfun import (
     parse_quiver,
 )
 from qbfun.errors import BudgetExceededError, OracleIdentityError, QuiverParseError
-from qbfun.oracle import _bernstein_b, apply_bernstein, grad_log_invariant, variable_table
+from qbfun.oracle import MAX_OPERATOR_DEGREE, _bernstein_b, apply_bernstein, grad_log_invariant, variable_table
 from qbfun.poly import MultiPolynomial
 
 
@@ -224,6 +224,22 @@ def test_budgets_abort_with_structured_error():
         expand_invariant(q, n, idx, budget=Budget(matrix_size=2))
     with pytest.raises(BudgetExceededError):
         oracle_b_function(q, n, idx, Budget(state_terms=3))
+
+
+def test_operator_degree_limit_stops_multi_before_the_operator_is_built():
+    """sum m_i * deg f_i past MAX_OPERATOR_DEGREE raises with its own what; the criterion-5 box stays inside it."""
+    q, n = instance("1->2->3->4", (1, 2, 2, 1))
+    degrees = [expand_invariant(q, n, idx).total_degree() for idx in enumerate_invariants(q, n)]
+    shifts = (MAX_OPERATOR_DEGREE // degrees[0] + 1, 0)
+    with pytest.raises(BudgetExceededError) as info:
+        apply_bernstein_multi(q, n, shifts)
+    assert info.value.what == "operator degree"
+    assert (info.value.actual, info.value.limit) == (shifts[0] * degrees[0], MAX_OPERATOR_DEGREE)
+    widest = 0
+    for q, n in oracle_family():
+        table = variable_table(q, n)
+        widest = max(widest, sum(2 * expand_invariant(q, n, idx, table).total_degree() for idx in enumerate_invariants(q, n)))
+    assert widest == 18 < MAX_OPERATOR_DEGREE  # m in {0,1,2}^k
 
 
 def test_budget_parsing():

@@ -3,8 +3,9 @@ import random
 import xml.etree.ElementTree as ET
 from collections import Counter
 
-from conftest import ALT5, EQUI5, instance, random_instance
-from qbfun import a_function, b_multivariate, complete_diagram, exact_diagram, invariant_index
+import reference
+from conftest import ALT5, EQUI5, instance, random_instance, reference_chains
+from qbfun import a_function, b_multivariate, complete_diagram, enumerate_invariants, exact_diagram, invariant_index
 from qbfun.diagrams import empty_diagram
 from qbfun.render import (
     LabeledDiagram,
@@ -146,3 +147,21 @@ def test_superposition_matches_per_diagram_routes_random():
         by_support = Counter(tuple(sorted(s)) for s in usage.values())
         assert {form.support: e for form, e in a_function(q, n).factors} == by_support
         assert Counter(ld.labels.values()) == Counter(dict(b_multivariate(q, n).factors))
+
+
+def test_render_ascii_matches_the_reference():
+    """The byte canvas draws what the cell-by-cell renderer drew.
+
+    Every chain of reference_chains(), with its complete, empty and
+    superposed diagrams and every exact diagram, labelled and not.
+    """
+    drawn = 0
+    for q, n in reference_chains():
+        assert column_offsets(q, n.entries) == reference.column_offsets(q, n.entries)
+        diagrams = [LabeledDiagram(q, complete_diagram(q, n)), LabeledDiagram(q, empty_diagram(q, n)), superposed_diagram(q, n)]
+        for idx in enumerate_invariants(q, n):
+            diagrams += [labeled_exact_diagram(q, n, idx), LabeledDiagram(q, exact_diagram(q, n, idx))]
+        for ld in diagrams:
+            assert render_ascii(ld) == reference.render_ascii(ld), (str(q), n.entries)
+        drawn += len(diagrams)
+    assert drawn > 1000
