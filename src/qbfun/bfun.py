@@ -38,8 +38,11 @@ class LinearForm(Record):
         support = self.support
         return (len(support), support, self.constant)
 
-    def value(self, s) -> Fraction:
-        return sum((Fraction(c) * Fraction(x) for c, x in zip(self.coeffs, s)), Fraction(self.constant))
+    def value(self, s):
+        """The form at s with * and + only: a Fraction at ints and Fractions, a polynomial at polynomials."""
+        if any(isinstance(x, float) for x in s):
+            raise ShapeError("linear forms are evaluated exactly; pass Fractions, not floats")
+        return sum((c * x for c, x in zip(self.coeffs, s) if c), Fraction(self.constant))
 
     def label_text(self) -> str:
         parts = []
@@ -124,8 +127,8 @@ class FactoredBFunction(Record):
         return FactoredBFunction.from_counter(self.num_labels, counts)
 
 
-def evaluate_bracket_product(b: FactoredBFunction, m, s) -> Fraction:
-    """Numeric value: product over factors of [form(s)]_{sum m over support}."""
+def evaluate_bracket_product(b: FactoredBFunction, m, s):
+    """Product over factors of [form(s)]_{sum m over support}, at numbers or polynomials s_i."""
     if len(m) != b.num_labels or len(s) != b.num_labels:
         raise ShapeError(f"need {b.num_labels} bracket lengths and variables")
     if any(not isinstance(k, int) or k < 0 for k in m):

@@ -12,8 +12,9 @@ from __future__ import annotations
 from collections import Counter
 
 from . import linalg
+from .bfun import FSet, fset_of_invariant
 from .errors import ShapeError
-from .invariants import InvariantIndex, MatrixRep, check_invariant
+from .invariants import InvariantIndex, MatrixRep
 from .quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
 from .record import Record, setfield
 
@@ -78,32 +79,35 @@ def arrow(q: QuiverA, n: DimVector, a: int, c: int) -> tuple[int, int]:
     return (n.at(a) - n.at(a + 1) + c, c)
 
 
-def _bundle(q: QuiverA, n: DimVector, a: int, size: int) -> frozenset:
-    top = n.at(a + 1)
-    return frozenset(arrow(q, n, a, c) for c in range(top - size + 1, top + 1))
+def _fset_layout(q: QuiverA, n: DimVector, fs: FSet) -> LaceDiagram:
+    """The diagram of an F-set: constant c of column k on arrow(q, n, k - 1, c)."""
+    conns = [
+        frozenset([arrow(q, n, a, c) for c in range(rng[0], rng[1] + 1)]) if rng else frozenset()
+        for a, rng in enumerate(fs.ranges, start=1)
+    ]
+    return LaceDiagram(tuple(n), tuple(conns))
 
 
 def complete_diagram(q: QuiverA, n: DimVector) -> LaceDiagram:
     """All possible height-preserving connections on every edge.
 
+    The layout of the F-set whose column k is n_k - min(n_{k-1}, n_k) + 1..n_k.
     The represented point is a generic one: no fundamental invariant
     vanishes on it.
     """
     check_dims(q, n)
-    return LaceDiagram(tuple(n), tuple(_bundle(q, n, a, min(n.at(a), n.at(a + 1))) for a in q.edges()))
+    ranges = tuple((n.at(k) - min(n.at(k - 1), n.at(k)) + 1, n.at(k)) for k in range(2, q.r + 1))
+    return _fset_layout(q, n, FSet(q.r, ranges))
 
 
 def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
-    """Canonical minimal diagram of the closed orbit inside {f_{(p,q)} != 0}.
+    """Canonical minimal diagram of the closed orbit inside {f_{(p,q)} != 0}: the layout of its F-set.
 
     Edge t-1 carries a bundle of c strands for each level (t, c) of the
     walk from p to q.  Past an interior sink or source v the bundle moves
     to the complementary dots of column v, since c becomes n_v - c.
     """
-    conns = [frozenset() for _ in q.edges()]
-    for t, c in check_invariant(q, n, idx):
-        conns[t - 2] = _bundle(q, n, t - 1, c)
-    return LaceDiagram(tuple(n), tuple(conns))
+    return _fset_layout(q, n, fset_of_invariant(q, n, idx))
 
 
 def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:

@@ -18,7 +18,7 @@ from itertools import product
 from math import isqrt, prod
 
 from . import linalg
-from .bfun import FactoredBFunction, a_function, b_multivariate
+from .bfun import FactoredBFunction, a_function, b_multivariate, evaluate_bracket_product
 from .diagrams import complete_diagram, diagram_to_matrices, exact_diagram
 from .errors import (
     BudgetExceededError,
@@ -414,27 +414,8 @@ def apply_bernstein(fstar: MultiPolynomial, f: MultiPolynomial, budget=None) -> 
 def oracle_b_function(q, n, idx, budget=None) -> BernsteinResult:
     """Expand f and run the operator identity f(d/dx) f^{s+1} = b(s) f^s (f* = f)."""
     budget = budget or Budget()
-    f = expand_invariant(q, n, idx, variable_table(q, n), budget)
+    f = expand_invariant(q, n, idx, budget=budget)
     return apply_bernstein(f, f, budget)
-
-
-def bracket_product_poly(b: FactoredBFunction, m, table: VarTable) -> MultiPolynomial:
-    """Expand the bracket product at integer lengths m as a polynomial in s1..sl."""
-    if len(m) != b.num_labels:
-        raise ShapeError(f"need {b.num_labels} bracket lengths")
-    svars = [MultiPolynomial.variable(table, f"s{i}") for i in range(1, b.num_labels + 1)]
-    out = MultiPolynomial.const(table, 1)
-    for form, mult in b.factors:
-        base = MultiPolynomial.const(table, form.constant)
-        for i, c in enumerate(form.coeffs):
-            if c:
-                base = base + svars[i] * c
-        length = sum(m[i - 1] for i in form.support)
-        factor = MultiPolynomial.const(table, 1)
-        for t in range(length):
-            factor = factor * (base + t)
-        out = out * factor ** mult
-    return out
 
 
 class MultiBernsteinResult(Record):
@@ -465,8 +446,10 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         raise ShapeError(f"need {l} shifts, got {len(m)}")
     if any(not isinstance(k, int) or k < 0 for k in m):
         raise ShapeError("shifts must be non-negative integers")
-    table = variable_table(q, n)
-    fs = [expand_invariant(q, n, idx, table, budget) for idx in invariants]
+    fs = []
+    for idx in invariants:
+        fs.append(expand_invariant(q, n, idx, fs[0].table if fs else None, budget))
+    table = fs[0].table if fs else VarTable(())
     degree = sum(mi * f.total_degree() for f, mi in zip(fs, m))
     if degree > MAX_OPERATOR_DEGREE:
         raise BudgetExceededError("operator degree", degree, MAX_OPERATOR_DEGREE)
@@ -480,7 +463,8 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     b_terms = _bernstein_b(operator, fs, m, budget)
     b_poly = MultiPolynomial.from_monomials(stable, b_terms.items())
 
-    engine = bracket_product_poly(b_multivariate(q, n), m, stable)
+    svars = [MultiPolynomial.variable(stable, name) for name in stable.names]
+    engine = MultiPolynomial.const(stable, 1) * evaluate_bracket_product(b_multivariate(q, n), m, svars)
     if engine.is_zero():
         raise OracleIdentityError("engine bracket product is zero")
     lead, lead_coef = engine.monomials()[-1]
@@ -496,8 +480,8 @@ def generic_point(q, n) -> MatrixRep:
     return diagram_to_matrices(q, n, complete_diagram(q, n))
 
 
-def grad_log_invariant(q, n, idx, rep=None):
-    """Exact value of grad log f_{(p,q)} at rep (default: the generic point).
+def grad_log_invariant(q, n, idx):
+    """Exact value of grad log f_{(p,q)} at the generic point.
 
     Differentiates the block determinant by the chain rule: the entries
     are path products, so the derivative in one edge entry contracts the
@@ -505,8 +489,7 @@ def grad_log_invariant(q, n, idx, rep=None):
     Returns one Fraction matrix per edge, shaped like the edge matrices.
     """
     spec = block_spec(q, n, idx)
-    if rep is None:
-        rep = generic_point(q, n)
+    rep = generic_point(q, n)
     y_inv = linalg.inverse(assemble(spec, rep))
     dims = rep.dims
     row_off, col_off = spec.offsets(dims)
@@ -607,9 +590,6 @@ def a_function_check(q, n) -> AFunctionVerdict:
         actual = _block_det(spec, weighted_rep, table) * evaluate_invariant(spec, a0)
         expected = MultiPolynomial.const(table, 1)
         for form, exponent in afun.eps_exponents(label):
-            base = MultiPolynomial.zero(table)
-            for i in form.support:
-                base = base + s_polys[i - 1]
-            expected = expected * base ** exponent
+            expected = expected * form.value(s_polys) ** exponent
         details.append((label, actual == expected))
     return AFunctionVerdict(all(okay for _, okay in details), tuple(details))

@@ -52,7 +52,7 @@ class VarTable:
         self.index = {name: k for k, name in enumerate(self.names)}
         width = len(self.names)
         self.shifts = tuple(FIELD_BITS * (width - 1 - k) for k in range(width))
-        self.guard = sum(1 << (shift + FIELD_BITS - 1) for shift in self.shifts)
+        self.guard = int.from_bytes(b"\x80\x00" * width, "big")  # the top bit of every 16-bit field
 
     def __len__(self):
         return len(self.names)

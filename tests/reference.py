@@ -1,21 +1,27 @@
 """Reference implementations that the faster library code must agree with.
 
 These are the cell-by-cell ASCII renderer (with the column layout it
-was written against), the column-by-column superposition and the CLI
-entry that sends every argv through ``build_parser().parse_args``.
-``qbfun.render``, ``qbfun.bfun.merge_columns`` and ``qbfun.cli.cli_main``
-replaced them; they are kept unchanged so the tests can require equal
-output from the new code.
+was written against), the column-by-column superposition, the CLI
+entry that sends every argv through ``build_parser().parse_args``, the
+bundle-by-bundle complete and exact diagrams, and the bracket product
+expanded with its own base loop.  ``qbfun.render``,
+``qbfun.bfun.merge_columns``, ``qbfun.cli.cli_main``, the F-set layout
+of ``qbfun.diagrams`` and ``qbfun.bfun.evaluate_bracket_product`` at
+symbolic ``s_i`` replaced them; they are kept unchanged so the tests can
+require equal output from the new code.
 """
 
 from __future__ import annotations
 
 import sys
 
-from qbfun.bfun import LinearForm
+from qbfun.bfun import FactoredBFunction, LinearForm
 from qbfun.cli import _COMMANDS, _EXIT_CODES, build_parser
+from qbfun.diagrams import LaceDiagram, arrow
 from qbfun.errors import DiagnosticError, ShapeError
-from qbfun.quiver import RIGHT
+from qbfun.invariants import InvariantIndex, check_invariant
+from qbfun.poly import MultiPolynomial, VarTable
+from qbfun.quiver import RIGHT, DimVector, QuiverA, check_dims
 from qbfun.render import LabeledDiagram
 
 
@@ -120,3 +126,50 @@ def cli_main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
+def _bundle(q: QuiverA, n: DimVector, a: int, size: int) -> frozenset:
+    top = n.at(a + 1)
+    return frozenset(arrow(q, n, a, c) for c in range(top - size + 1, top + 1))
+
+
+def complete_diagram(q: QuiverA, n: DimVector) -> LaceDiagram:
+    """All possible height-preserving connections on every edge.
+
+    The represented point is a generic one: no fundamental invariant
+    vanishes on it.
+    """
+    check_dims(q, n)
+    return LaceDiagram(tuple(n), tuple(_bundle(q, n, a, min(n.at(a), n.at(a + 1))) for a in q.edges()))
+
+
+def exact_diagram(q: QuiverA, n: DimVector, idx: InvariantIndex) -> LaceDiagram:
+    """Canonical minimal diagram of the closed orbit inside {f_{(p,q)} != 0}.
+
+    Edge t-1 carries a bundle of c strands for each level (t, c) of the
+    walk from p to q.  Past an interior sink or source v the bundle moves
+    to the complementary dots of column v, since c becomes n_v - c.
+    """
+    conns = [frozenset() for _ in q.edges()]
+    for t, c in check_invariant(q, n, idx):
+        conns[t - 2] = _bundle(q, n, t - 1, c)
+    return LaceDiagram(tuple(n), tuple(conns))
+
+
+def bracket_product_poly(b: FactoredBFunction, m, table: VarTable) -> MultiPolynomial:
+    """Expand the bracket product at integer lengths m as a polynomial in s1..sl."""
+    if len(m) != b.num_labels:
+        raise ShapeError(f"need {b.num_labels} bracket lengths")
+    svars = [MultiPolynomial.variable(table, f"s{i}") for i in range(1, b.num_labels + 1)]
+    out = MultiPolynomial.const(table, 1)
+    for form, mult in b.factors:
+        base = MultiPolynomial.const(table, form.constant)
+        for i, c in enumerate(form.coeffs):
+            if c:
+                base = base + svars[i] * c
+        length = sum(m[i - 1] for i in form.support)
+        factor = MultiPolynomial.const(table, 1)
+        for t in range(length):
+            factor = factor * (base + t)
+        out = out * factor ** mult
+    return out

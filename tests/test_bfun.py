@@ -198,6 +198,24 @@ def test_evaluate_bracket_product_basics():
         evaluate_bracket_product(b, (1, 1), (0,))
 
 
+def test_linear_form_value_is_exact():
+    """Ints and Fractions give a Fraction, polynomials a polynomial; a float is refused."""
+    from qbfun.poly import MultiPolynomial, VarTable
+
+    form = LinearForm((2, 0, 1), 3)
+    for s in ((1, 5, 2), (Fraction(1, 3), 0, Fraction(-1, 2))):
+        value = form.value(s)
+        assert type(value) is Fraction and value == 2 * Fraction(s[0]) + Fraction(s[2]) + 3
+    table = VarTable(("s1", "s2", "s3"))
+    s1, s2, s3 = (MultiPolynomial.variable(table, name) for name in table.names)
+    assert form.value((s1, s2, s3)) == s1 * 2 + s3 + 3
+    for s in ((0.5, 0, 0), (1, 2, 0.1)):
+        with pytest.raises(ShapeError):
+            form.value(s)
+    with pytest.raises(ShapeError):
+        evaluate_bracket_product(multi(1, ((1,), 1, 1)), (2,), (0.5,))
+
+
 def test_bracket_specialization_matches_one_variable():
     q, n = instance(*EQUI5)
     b = b_multivariate(q, n)

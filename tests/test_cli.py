@@ -506,3 +506,16 @@ def test_multi_operator_degree_above_the_limit_exits_4(capsys):
     assert elapsed < 0.1
     code = cli_main(["verify", "--quiver", "1->2", "--dims", "1,1", "--multi", str(MAX_OPERATOR_DEGREE)])
     assert code == 0 and json.loads(capsys.readouterr().out)["ok"]
+
+
+def test_verify_at_the_dimension_limit_exits_4_at_once(capsys):
+    """verify on a 512,512 split stops on the matrix size, with or without --multi, in under 1 s."""
+    build_parser()
+    for extra in ([], ["--multi", "1"]):
+        start = time.perf_counter()
+        code = cli_main(["verify", "--quiver", "1->2", "--dims", "512,512", "--pq", "1,2", *extra])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == "", extra
+        assert captured.err == "error: budget exceeded: matrix size = 512 > 6\n"
+        assert elapsed < 1, extra

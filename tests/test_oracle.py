@@ -5,6 +5,7 @@ from time import perf_counter
 
 import pytest
 
+import reference
 from conftest import ALT5, EQUI5, ORACLE_OVER_BUDGET, instance, oracle_family, random_instance
 from qbfun import (
     Budget,
@@ -24,7 +25,7 @@ from qbfun import (
 )
 from qbfun.errors import BudgetExceededError, OracleIdentityError, QuiverParseError
 from qbfun.oracle import MAX_OPERATOR_DEGREE, _bernstein_b, apply_bernstein, grad_log_invariant, variable_table
-from qbfun.poly import MultiPolynomial
+from qbfun.poly import MultiPolynomial, VarTable
 
 
 def b_value(b, sigma):
@@ -386,6 +387,47 @@ def test_grad_log_check_fails_on_the_wrong_diagram(monkeypatch):
     assert grad_log_check(q, n, idx).ok
     monkeypatch.setattr(qbfun.oracle, "exact_diagram", lambda q, n, idx: empty_diagram(q, n))
     assert not grad_log_check(q, n, idx).ok
+
+
+def test_engine_bracket_product_matches_the_reference(monkeypatch):
+    """apply_bernstein_multi's engine side equals the bracket product expanded with its own base loop.
+
+    Every criterion-5 instance with k >= 2 invariants, at every shift in
+    {0,1,2}^k; the operator walk is stubbed out, so only the expansions
+    and the engine side run.
+    """
+    import qbfun.oracle
+
+    monkeypatch.setattr(qbfun.oracle, "_bernstein_b", lambda operator, fs, m, budget: {})
+    checked = 0
+    for q, n in oracle_family():
+        k = len(enumerate_invariants(q, n))
+        if k < 2:
+            continue
+        b = b_multivariate(q, n)
+        stable = VarTable(f"s{i}" for i in range(1, k + 1))
+        for m in product((0, 1, 2), repeat=k):
+            assert apply_bernstein_multi(q, n, m).engine == reference.bracket_product_poly(b, m, stable), (str(q), n.entries, m)
+            checked += 1
+    assert checked == 2628
+
+
+def test_bernstein_multi_with_no_invariants_is_one():
+    """No invariants: the empty operator on an empty variable table gives b = 1."""
+    result = apply_bernstein_multi(parse_quiver("1"), DimVector((3,)), ())
+    assert result.ok and result.b == 1 and result.engine == 1 and result.constant == 1
+
+
+def test_oracle_stops_at_the_matrix_size_before_building_a_variable_table():
+    """At the dimension-sum limit the matrix-size budget fires at once, in one and several variables."""
+    q, n = parse_quiver("1->2"), DimVector((512, 512))
+    idx = invariant_index(q, 1, 2)
+    for run in (lambda: oracle_b_function(q, n, idx), lambda: apply_bernstein_multi(q, n, (1,))):
+        start = perf_counter()
+        with pytest.raises(BudgetExceededError) as info:
+            run()
+        assert perf_counter() - start < 1
+        assert (info.value.what, info.value.actual, info.value.limit) == ("matrix size", 512, 6)
 
 
 def test_bernstein_multi_library_shifts_still_shape_errors():

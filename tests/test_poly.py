@@ -414,3 +414,12 @@ def test_copied_polynomials_equal_and_add_to_their_originals():
         acc.add_product(copied, b)
         acc.add_product(b, copied)
         assert acc.result() == 2 * b * b
+
+
+def test_guard_is_the_top_bit_of_every_field():
+    """The guard, built in one step, equals the sum of each field's top bit."""
+    from qbfun.poly import FIELD_BITS
+
+    for width in range(41):
+        table = VarTable(f"v{k}" for k in range(width))
+        assert table.guard == sum(1 << (shift + FIELD_BITS - 1) for shift in table.shifts), width
