@@ -24,7 +24,7 @@ class LinearForm(Record):
     __slots__ = ("coeffs", "constant")
 
     def __init__(self, coeffs: tuple[int, ...], constant: int):
-        if constant < 0 or min(coeffs, default=0) < 0:
+        if constant < 0 or (coeffs and min(coeffs) < 0):
             raise ShapeError("linear form needs non-negative coefficients and constant")
         setfield(self, "coeffs", coeffs)
         setfield(self, "constant", constant)
@@ -86,8 +86,8 @@ class FactoredBFunction(Record):
 
     @classmethod
     def one_variable(cls, constants: Counter) -> "FactoredBFunction":
-        counts = Counter({LinearForm((1,), c): e for c, e in constants.items()})
-        return cls.from_counter(1, counts)
+        """The product of (s + c)^e over the constants c, factors in increasing c (the order of from_counter)."""
+        return cls(1, tuple([(LinearForm((1,), c), e) for c, e in sorted(constants.items())]))
 
     def degree(self) -> int:
         """Number of linear factors counted with multiplicity."""
@@ -198,18 +198,23 @@ def fset_of_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> FSet:
     level c into t: the diagram has c connections on edge t-1, and the
     adjacent rank of a diagram point is its connection count.
     """
-    ranges = [None] * (q.r - 1)
-    for t, c in check_invariant(q, n, idx):
+    return _levels_fset(q.r, n, check_invariant(q, n, idx))
+
+
+def _levels_fset(r: int, n: DimVector, levels) -> FSet:
+    """The F-set of a walk's levels (t, c): column t carries n_t - c + 1..n_t."""
+    ranges = [None] * (r - 1)
+    for t, c in levels:
         ranges[t - 2] = (n.at(t) - c + 1, n.at(t))
-    return FSet(q.r, tuple(ranges))
+    return FSet(r, tuple(ranges))
 
 
 def b_from_fset(fs: FSet) -> FactoredBFunction:
     """Product of (s + c) over every member of every column range."""
     constants = Counter()
-    for k in range(2, fs.r + 1):
-        for c in fs.members(k):
-            constants[c] += 1
+    for rng in fs.ranges:
+        if rng is not None:
+            constants.update(range(rng[0], rng[1] + 1))
     return FactoredBFunction.one_variable(constants)
 
 

@@ -26,9 +26,12 @@ class LaceDiagram(Record):
         if len(connections) != max(len(columns) - 1, 0):
             raise ShapeError("need one connection set per edge")
         for a, pairs in enumerate(connections, start=1):
+            if not pairs:
+                continue
+            left, right = columns[a - 1], columns[a]
             left_seen, right_seen = set(), set()
             for dl, dr in pairs:
-                if not (1 <= dl <= columns[a - 1] and 1 <= dr <= columns[a]):
+                if not (1 <= dl <= left and 1 <= dr <= right):
                     raise ShapeError(f"edge {a}: connection ({dl},{dr}) out of range")
                 if dl in left_seen or dr in right_seen:
                     raise ShapeError(f"edge {a}: a dot is connected twice on one side")
@@ -73,19 +76,24 @@ def arrow(q: QuiverA, n: DimVector, a: int, c: int) -> tuple[int, int]:
     at the bottom with constants increasing downwards; on a leftward edge
     it sits at the top with constants increasing upwards.
     """
-    if q.delta(a) == RIGHT:
-        b = n.at(a + 1) - c + 1
-        return (b, b)
-    return (n.at(a) - n.at(a + 1) + c, c)
+    return _arrows(q.delta(a), n.at(a), n.at(a + 1), range(c, c + 1))[0]
+
+
+def _arrows(direction: int, left: int, right: int, constants) -> list[tuple[int, int]]:
+    """arrow for each of the constants, on an edge of this direction between columns of sizes left and right."""
+    if direction == RIGHT:
+        return [(right - c + 1, right - c + 1) for c in constants]
+    return [(left - right + c, c) for c in constants]
 
 
 def _fset_layout(q: QuiverA, n: DimVector, fs: FSet) -> LaceDiagram:
-    """The diagram of an F-set: constant c of column k on arrow(q, n, k - 1, c)."""
-    conns = [
-        frozenset([arrow(q, n, a, c) for c in range(rng[0], rng[1] + 1)]) if rng else frozenset()
-        for a, rng in enumerate(fs.ranges, start=1)
-    ]
-    return LaceDiagram(tuple(n), tuple(conns))
+    """The diagram of an F-set: constant c of column k on arrow(q, n, k - 1, c), each edge's bundle at once."""
+    dims, directions = n.entries, q.directions
+    conns = [frozenset()] * len(fs.ranges)
+    for a, rng in enumerate(fs.ranges):
+        if rng is not None:
+            conns[a] = frozenset(_arrows(directions[a], dims[a], dims[a + 1], range(rng[0], rng[1] + 1)))
+    return LaceDiagram(dims, tuple(conns))
 
 
 def complete_diagram(q: QuiverA, n: DimVector) -> LaceDiagram:
@@ -117,13 +125,14 @@ def diagram_to_matrices(q: QuiverA, n, d: LaceDiagram) -> MatrixRep:
     if d.columns != cols:
         raise ShapeError("diagram column sizes do not match the dimension vector")
     mats = []
-    for a in q.edges():
-        rows, colcount = cols[q.head(a) - 1], cols[q.tail(a) - 1]
-        m = [[0] * colcount for _ in range(rows)]
-        for dl, dr in d.edge(a):
-            if q.delta(a) == RIGHT:
+    for a, (direction, pairs) in enumerate(zip(q.directions, d.connections), start=1):
+        if direction == RIGHT:  # rows are column a + 1's dots
+            m = [[0] * cols[a - 1] for _ in range(cols[a])]
+            for dl, dr in pairs:
                 m[dr - 1][dl - 1] = 1
-            else:
+        else:
+            m = [[0] * cols[a] for _ in range(cols[a - 1])]
+            for dl, dr in pairs:
                 m[dl - 1][dr - 1] = 1
         mats.append(m)
     # each shape follows from cols, so the record needs no MatrixRep.check
@@ -141,27 +150,39 @@ class Strand(Record):
         setfield(self, "_key", (interval, dots))
 
 
+def _strand_sweep(d: LaceDiagram):
+    """The strands of d: per column, the dots that are strands of their own; and each longer strand.
+
+    A longer strand is (first column, last column, dots).  Each edge's
+    connections are one dict from left dot to right dot, and the dots of
+    a column with a left neighbour one set.  A dot in neither that set
+    nor its column's dict is a strand of its own; a longer strand starts
+    at every other dot outside the set.
+    """
+    right_of = [dict(pairs) for pairs in d.connections]
+    right_of.append({})  # the last column has no edge to its right
+    alone, longer = [], []
+    joined = set()
+    for col, (size, step) in enumerate(zip(d.columns, right_of), start=1):
+        alone.append(set(range(1, size + 1)).difference(joined, step))
+        for dot in step.keys() - joined:
+            dots, v, cur = [dot], col, step[dot]
+            while cur is not None:
+                dots.append(cur)
+                cur = right_of[v].get(cur)
+                v += 1
+            longer.append((col, v, dots))
+        joined = set(step.values())
+    return alone, longer
+
+
 def strands(d: LaceDiagram) -> tuple[Strand, ...]:
     """All maximal strands, sorted by (interval, dots)."""
-    right_of = {}
-    has_left = set()
-    for a, pairs in enumerate(d.connections, start=1):
-        for dl, dr in pairs:
-            right_of[(a, dl)] = dr
-            has_left.add((a + 1, dr))
-    found = []
-    for col in range(1, d.r + 1):
-        for dot in range(1, d.columns[col - 1] + 1):
-            if (col, dot) in has_left:
-                continue
-            dots = [dot]
-            v, cur = col, dot
-            while (v, cur) in right_of:
-                cur = right_of[(v, cur)]
-                v += 1
-                dots.append(cur)
-            found.append(Strand(Interval(col, v), tuple(dots)))
-    return tuple(sorted(found, key=lambda s: (s.interval, s.dots)))
+    alone, longer = _strand_sweep(d)
+    found = [(i, j, tuple(dots)) for i, j, dots in longer]
+    found += [(col, col, (dot,)) for col, dots in enumerate(alone, start=1) for dot in dots]
+    found.sort()
+    return tuple(Strand(Interval(i, j), dots) for i, j, dots in found)
 
 
 def strand_multiset(d: LaceDiagram) -> Counter:

@@ -201,8 +201,9 @@ class MatrixRep(Record):
         """Raise ShapeError unless dims fit q and every edge matrix, row by row, has the shape above; returns self."""
         if len(self.dims) != q.r:
             raise ShapeError(f"{len(self.dims)} dimensions for a quiver with {q.r} vertices")
-        for a in q.edges():
-            m, rows, cols = self.matrix(a), self.dims[q.head(a) - 1], self.dims[q.tail(a) - 1]
+        dims = self.dims
+        for a, (d, m) in enumerate(zip(q.directions, self.matrices), start=1):
+            rows, cols = (dims[a], dims[a - 1]) if d == RIGHT else (dims[a - 1], dims[a])
             if len(m) != rows or any(len(row) != cols for row in m):
                 raise ShapeError(f"edge {a}: matrix is not {rows}x{cols}")
         return self

@@ -429,6 +429,12 @@ class MultiBernsteinResult(Record):
         setfield(self, "_key", (ok, b, engine, constant))
 
 
+def _s_variables(l: int) -> tuple[VarTable, list[MultiPolynomial]]:
+    """The variable table of s1..sl and the polynomial of each variable."""
+    table = VarTable(f"s{i}" for i in range(1, l + 1))
+    return table, [MultiPolynomial.variable(table, name) for name in table.names]
+
+
 def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     """Verify the several-variable operator identity at integer shifts m.
 
@@ -459,11 +465,10 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
         operator = operator * f ** mi
         if operator.num_terms() > budget.state_terms:
             raise BudgetExceededError("operator terms", operator.num_terms(), budget.state_terms)
-    stable = VarTable(f"s{i}" for i in range(1, l + 1))
+    stable, svars = _s_variables(l)
     b_terms = _bernstein_b(operator, fs, m, budget)
     b_poly = MultiPolynomial.from_monomials(stable, b_terms.items())
 
-    svars = [MultiPolynomial.variable(stable, name) for name in stable.names]
     engine = MultiPolynomial.const(stable, 1) * evaluate_bracket_product(b_multivariate(q, n), m, svars)
     if engine.is_zero():
         raise OracleIdentityError("engine bracket product is zero")
@@ -560,9 +565,7 @@ def a_function_check(q, n) -> AFunctionVerdict:
     """
     invariants = enumerate_invariants(q, n)
     l = len(invariants)
-    svars = tuple(f"s{i}" for i in range(1, l + 1))
-    table = VarTable(svars)
-    s_polys = [MultiPolynomial.variable(table, name) for name in svars]
+    table, s_polys = _s_variables(l)
     diag_reps = [diagram_to_matrices(q, n, exact_diagram(q, n, idx)) for idx in invariants]
 
     weighted = []

@@ -218,11 +218,16 @@ def interval_euler_form(q: QuiverA, u: Interval, w: Interval) -> int:
     |u ∩ w|, minus the rightward edges v with v in u and v + 1 in w, minus
     the leftward edges v with v + 1 in u and v in w.
     """
-    if max(u.j, w.j) > q.r:
+    if (u.j if u.j > w.j else w.j) > q.r:
         raise ShapeError(f"interval {u if u.j > q.r else w} does not fit in {q.r} vertices")
-    rights = q._rights
-    lo, hi = max(u.i, w.i - 1), min(u.j, w.j - 1)
+    return _interval_euler(q._rights, u.i, u.j, w.i, w.j)
+
+
+def _interval_euler(rights, ui: int, uj: int, wi: int, wj: int) -> int:
+    """interval_euler_form of [ui, uj] and [wi, wj], given the quiver's rightward-edge counts."""
+    lo, hi = (ui if ui > wi - 1 else wi - 1), (uj if uj < wj - 1 else wj - 1)
     right = rights[hi] - rights[lo - 1] if lo <= hi else 0
-    lo, hi = max(u.i - 1, w.i), min(u.j - 1, w.j)
+    lo, hi = (ui - 1 if ui - 1 > wi else wi), (uj - 1 if uj - 1 < wj else wj)
     left = hi - lo + 1 - rights[hi] + rights[lo - 1] if lo <= hi else 0
-    return max(0, min(u.j, w.j) - max(u.i, w.i) + 1) - right - left
+    lo, hi = (ui if ui > wi else wi), (uj if uj < wj else wj)
+    return (hi - lo + 1 if lo <= hi else 0) - right - left

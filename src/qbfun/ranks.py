@@ -14,11 +14,11 @@ from collections import Counter
 from functools import lru_cache
 
 from . import linalg
-from .bfun import FactoredBFunction, b_one_variable
-from .diagrams import exact_diagram, strands
+from .bfun import FactoredBFunction, _levels_fset, b_from_fset
+from .diagrams import _strand_sweep, exact_diagram
 from .errors import DiagnosticError, NotAnInvariantError, ShapeError
 from .invariants import InvariantIndex, MatrixRep, check_invariant, invariant_index
-from .quiver import RIGHT, DimVector, Interval, QuiverA, interval_euler_form, interval_vector
+from .quiver import RIGHT, DimVector, Interval, QuiverA, _interval_euler, interval_euler_form, interval_vector
 from .record import Record, setfield
 
 
@@ -102,10 +102,9 @@ def _edge_rows(q: QuiverA, rep: MatrixRep):
     """
     base = [sum(rep.dims[: v - 1]) for v in q.vertices()]
     mats = []
-    for a in q.edges():
-        r0, c0 = base[q.head(a) - 1], base[q.tail(a) - 1]
-        rows = enumerate(rep.matrix(a))
-        mats.append({r0 + r: {c0 + c: x for c, x in enumerate(row) if x} for r, row in rows if any(row)})
+    for a, (d, m) in enumerate(zip(q.directions, rep.matrices)):
+        r0, c0 = (base[a + 1], base[a]) if d == RIGHT else (base[a], base[a + 1])
+        mats.append({r0 + r: {c0 + c: x for c, x in enumerate(row) if x} for r, row in enumerate(m) if any(row)})
     return mats
 
 
@@ -223,7 +222,11 @@ def summand_ext(q: QuiverA, u: Interval, w: Interval) -> int:
     are disjoint and an arrow runs from an end of u to the adjacent end
     of w, and 0 otherwise (nested or overlapping pairs contribute 0).
     """
-    e = (1 if u == w else 0) - interval_euler_form(q, u, w)
+    return _checked_ext((1 if u == w else 0) - interval_euler_form(q, u, w), u, w)
+
+
+def _checked_ext(e: int, u: Interval, w: Interval) -> int:
+    """e, unless it is no Ext count of two summands of one locally closed orbit's point."""
     if e not in (0, 1):
         raise DiagnosticError(f"Ext count {e} for {u}, {w}; not a valid summand pair")
     return e
@@ -267,31 +270,45 @@ def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> Slice
     its Euler form is 0.  The vertices are sorted by (i, j), so the walk
     over w stops at the first w.i > u.j + 1.
     """
-    _, counts, _ = _slice_side(q, n, idx)
-    vertices = tuple(sorted(counts.items()))
+    _, vertices, _ = _slice_side(q, n, idx)
+    spans = [(iv.i, iv.j) for iv, _ in vertices]
+    rights = q._rights
     arrows = {}
-    for a, (u, _) in enumerate(vertices, start=1):
-        for b, (w, _) in enumerate(vertices, start=1):
-            if w.i > u.j + 1:
+    for a, (ui, uj) in enumerate(spans, start=1):
+        for b, (wi, wj) in enumerate(spans, start=1):
+            if wi > uj + 1:
                 break
-            if w.j >= u.i - 1:
-                e = summand_ext(q, u, w)
+            if wj >= ui - 1:
+                # summand_ext on the endpoints: the intervals are distinct, and all fit in r
+                e = (a == b) - _interval_euler(rights, ui, uj, wi, wj)
                 if e:
-                    arrows[(a, b)] = e
+                    arrows[(a, b)] = _checked_ext(e, vertices[a - 1][0], vertices[b - 1][0])
     return SliceRep(vertices, arrows)
 
 
 @lru_cache(maxsize=1)
 def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
-    """Exact diagram, strand multiset and (column, dot) -> strand interval of idx.
+    """Exact diagram, sorted (interval, multiplicity) pairs and dot map of idx.
 
+    The dot map's row v - 1 holds, at each dot of column v, the position
+    in the sorted pairs of its strand's interval (entry 0 is unused).
     Cached for the run of calls that share one slice invariant: a slice
     request restricts every other invariant to the same slice.
     """
     d = exact_diagram(q, n, idx)
-    found = strands(d)
-    where = {(s.interval.i + k, dot): s.interval for s in found for k, dot in enumerate(s.dots)}
-    return d, Counter(s.interval for s in found), where
+    alone, longer = _strand_sweep(d)
+    counts = Counter((i, j) for i, j, _ in longer)
+    for col, dots in enumerate(alone, start=1):
+        if dots:
+            counts[(col, col)] = len(dots)
+    spans = sorted(counts)
+    position = {span: k for k, span in enumerate(spans)}
+    where = [[position.get((col, col))] * (size + 1) for col, size in enumerate(d.columns, start=1)]
+    for i, j, dots in longer:
+        k = position[(i, j)]
+        for v, dot in enumerate(dots, start=i - 1):
+            where[v][dot] = k
+    return d, tuple((Interval(i, j), counts[(i, j)]) for i, j in spans), where
 
 
 class RestrictedInvariant(Record):
@@ -302,7 +319,7 @@ class RestrictedInvariant(Record):
     b-function of the restriction.
     """
 
-    __slots__ = ("constant", "quiver", "dims", "index")
+    __slots__ = ("constant", "quiver", "dims", "index", "__dict__")  # __dict__ holds the local walk's levels
 
     def __init__(self, constant: bool, quiver: QuiverA = None, dims: DimVector = None, index: InvariantIndex = None):
         setfield(self, "constant", constant)
@@ -312,9 +329,13 @@ class RestrictedInvariant(Record):
         setfield(self, "_key", (constant, quiver, dims, index))
 
     def local_b(self) -> FactoredBFunction | None:
+        """b_one_variable of the local invariant, read off the levels of its walk."""
         if self.constant:
             return None
-        return b_one_variable(self.quiver, self.dims, self.index)
+        levels = self.__dict__.get("levels")
+        if levels is None:  # built from its fields, not by restricted_invariant_shape: walk again
+            levels = check_invariant(self.quiver, self.dims, self.index)
+        return b_from_fset(_levels_fset(self.quiver.r, self.dims, levels))
 
 
 def restricted_invariant_shape(
@@ -332,37 +353,42 @@ def restricted_invariant_shape(
     local invariant between the path's ends; anything else is surfaced
     as a diagnostic error.
     """
-    d_slice, counts, where = _slice_side(q, n, idx_slice)
+    d_slice, vertices, where = _slice_side(q, n, idx_slice)
     if idx_f == idx_slice:
         return RestrictedInvariant(constant=True)
     d_f = exact_diagram(q, n, idx_f)
 
     walk, directions, got = [], [], []
-    for a in q.edges():
-        moved = d_f.edge(a) - d_slice.edge(a)
+    for a, f_pairs in enumerate(d_f.connections, start=1):
+        if not f_pairs:
+            continue
+        moved = f_pairs - d_slice.connections[a - 1]
         if not moved:
             continue
-        ends = {(where[(a, dl)], where[(a + 1, dr)]) for dl, dr in moved}
+        left_row, right_row = where[a - 1], where[a]
+        ends = {(left_row[dl], right_row[dr]) for dl, dr in moved}
         if len(ends) != 1:
             raise DiagnosticError(f"edge {a}: transferred arrows join {len(ends)} pairs of strands")
         ((left, right),) = ends
         if not walk:
             walk.append(left)
         elif left != walk[-1]:
-            raise DiagnosticError(f"edge {a}: transferred arrows from {left} do not continue the path")
+            raise DiagnosticError(f"edge {a}: transferred arrows from {vertices[left][0]} do not continue the path")
         if right in walk:
-            raise DiagnosticError(f"edge {a}: transferred arrows return to {right}; not a simple path")
-        u, w = (left, right) if q.delta(a) == RIGHT else (right, left)
+            raise DiagnosticError(f"edge {a}: transferred arrows return to {vertices[right][0]}; not a simple path")
+        d = q.directions[a - 1]
+        tail, head = (left, right) if d == RIGHT else (right, left)
+        u, w = vertices[tail][0], vertices[head][0]
         if summand_ext(q, u, w) != 1:
             raise DiagnosticError(f"transferred arrows {u} -> {w} without a slice arrow")
         walk.append(right)
-        directions.append(q.delta(a))
+        directions.append(d)
         got.append(len(moved))
     if not walk:
         return RestrictedInvariant(constant=True)
 
     local_q = QuiverA(len(walk), tuple(directions))
-    local_n = DimVector(tuple(counts[v] for v in walk))
+    local_n = DimVector(tuple(vertices[v][1] for v in walk))
     local_idx = invariant_index(local_q, 1, len(walk))
     try:
         levels = check_invariant(local_q, local_n, local_idx)
@@ -374,4 +400,6 @@ def restricted_invariant_shape(
         raise DiagnosticError(
             f"transferred arrow counts {tuple(got)} do not match the local exact diagram {expected}"
         )
-    return RestrictedInvariant(False, local_q, local_n, local_idx)
+    shape = RestrictedInvariant(False, local_q, local_n, local_idx)
+    shape.__dict__["levels"] = levels
+    return shape

@@ -9,7 +9,7 @@ the diagram, so renders are byte-identical across runs.
 from __future__ import annotations
 
 from .bfun import fset_of_invariant, invariant_fsets, merge_columns
-from .diagrams import LaceDiagram, arrow
+from .diagrams import LaceDiagram, _arrows
 from .errors import ShapeError
 from .quiver import RIGHT, DimVector, QuiverA
 from .record import Record, setfield
@@ -44,14 +44,17 @@ def column_offsets(q: QuiverA, columns) -> tuple[int, ...]:
 
 
 def _labeled(q: QuiverA, n: DimVector, fsets) -> LabeledDiagram:
-    """Lay out each merged form of the F-sets on the arrow its constant names."""
-    conns = [set() for _ in q.edges()]
-    labels = {}
+    """Lay out each merged form of the F-sets on the arrow its constant names, each edge's arrows at once."""
+    by_edge = {}
     for k, form in merge_columns(fsets):
-        pair = arrow(q, n, k - 1, form.constant)
-        conns[k - 2].add(pair)
-        labels[(k - 1, pair)] = form
-    return LabeledDiagram(q, LaceDiagram(tuple(n.entries), tuple(frozenset(c) for c in conns)), labels)
+        by_edge.setdefault(k - 1, []).append(form)
+    dims, conns, labels = n.entries, [frozenset()] * len(q.directions), {}
+    for a, forms in by_edge.items():
+        pairs = _arrows(q.directions[a - 1], dims[a - 1], dims[a], [form.constant for form in forms])
+        conns[a - 1] = frozenset(pairs)
+        for pair, form in zip(pairs, forms):
+            labels[(a, pair)] = form
+    return LabeledDiagram(q, LaceDiagram(dims, tuple(conns)), labels)
 
 
 def labeled_exact_diagram(q: QuiverA, n: DimVector, idx) -> LabeledDiagram:

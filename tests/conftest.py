@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from qbfun import DimVector, QuiverA, enumerate_invariants, parse_quiver
+from qbfun import DimVector, LaceDiagram, QuiverA, complete_diagram, enumerate_invariants, exact_diagram, parse_quiver
 from qbfun import linalg
 from qbfun.quiver import LEFT, RIGHT
 
@@ -91,6 +91,32 @@ def reference_chains():
         q = QuiverA(80, tuple(chain_rng.choice((RIGHT, LEFT)) for _ in range(79)))
         chains.append((q, DimVector(tuple(chain_rng.randint(1, 8) for _ in range(80)))))
     return chains
+
+
+def doctored_diagram(rng: random.Random, rmax=12, nmax=8):
+    """A seeded diagram that need be no invariant's: a random partial matching on each edge.
+
+    Its pairs cross, a quarter of its edges are empty, and the dots that
+    no pair uses are strands of their own.
+    """
+    q = random_quiver(rng, 1, rmax)
+    columns = tuple(rng.randint(1, nmax) for _ in range(q.r))
+    conns = []
+    for left, right in zip(columns, columns[1:]):
+        k = 0 if rng.random() < 0.25 else rng.randint(1, min(left, right))
+        conns.append(frozenset(zip(rng.sample(range(1, left + 1), k), rng.sample(range(1, right + 1), k))))
+    return q, DimVector(columns), LaceDiagram(columns, tuple(conns))
+
+
+def strand_diagrams():
+    """(quiver, dims, diagram): the complete and every exact diagram of reference_chains(), and 300 doctored ones."""
+    found = []
+    for q, n in reference_chains():
+        found.append((q, n, complete_diagram(q, n)))
+        found.extend((q, n, exact_diagram(q, n, idx)) for idx in enumerate_invariants(q, n))
+    rng = random.Random(2512)
+    found.extend(doctored_diagram(rng) for _ in range(300))
+    return found
 
 
 def random_invertible(rng: random.Random, size: int, lo=-3, hi=3):

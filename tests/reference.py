@@ -3,25 +3,37 @@
 These are the cell-by-cell ASCII renderer (with the column layout it
 was written against), the column-by-column superposition, the CLI
 entry that sends every argv through ``build_parser().parse_args``, the
-bundle-by-bundle complete and exact diagrams, and the bracket product
-expanded with its own base loop.  ``qbfun.render``,
+bundle-by-bundle complete and exact diagrams, the bracket product
+expanded with its own base loop, the one-arrow-at-a-time layout
+(``arrow`` and ``_fset_layout``), the lace diagram checked pair by pair,
+the dot-by-dot strand walk and the slice side read off ``Strand``
+records, the one-variable b-function built through ``from_counter``
+from a count of every F-set member, and the b-function document built
+from ``_form_to_json``.  ``qbfun.render``,
 ``qbfun.bfun.merge_columns``, ``qbfun.cli.cli_main``, the F-set layout
-of ``qbfun.diagrams`` and ``qbfun.bfun.evaluate_bracket_product`` at
-symbolic ``s_i`` replaced them; they are kept unchanged so the tests can
-require equal output from the new code.
+of ``qbfun.diagrams``, ``qbfun.bfun.evaluate_bracket_product`` at
+symbolic ``s_i``, the shared strand sweep of ``qbfun.diagrams.strands``
+and ``qbfun.ranks._slice_side``, ``FactoredBFunction.one_variable`` and
+``qbfun.bfun.b_from_fset`` and ``qbfun.jsonio.bfun_to_json`` replaced them; they are kept unchanged so the
+tests can require equal output from the new code.  The bundle-by-bundle
+diagrams lay out their arrows with the ``arrow`` kept here, and
+``b_from_fset`` counts into the ``one_variable`` kept here.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
-from qbfun.bfun import FactoredBFunction, LinearForm
+from qbfun.bfun import FactoredBFunction, FSet, LinearForm
 from qbfun.cli import _COMMANDS, _EXIT_CODES, build_parser
-from qbfun.diagrams import LaceDiagram, arrow
+from qbfun.diagrams import LaceDiagram, Strand
 from qbfun.errors import DiagnosticError, ShapeError
 from qbfun.invariants import InvariantIndex, check_invariant
+from qbfun.jsonio import _form_to_json
 from qbfun.poly import MultiPolynomial, VarTable
-from qbfun.quiver import RIGHT, DimVector, QuiverA, check_dims
+from qbfun.quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
+from qbfun.record import setfield
 from qbfun.render import LabeledDiagram
 
 
@@ -173,3 +185,102 @@ def bracket_product_poly(b: FactoredBFunction, m, table: VarTable) -> MultiPolyn
             factor = factor * (base + t)
         out = out * factor ** mult
     return out
+
+
+class PairwiseLaceDiagram(LaceDiagram):
+    """qbfun's LaceDiagram with the constructor that checks every connection pair by pair."""
+
+    __slots__ = ()
+
+    def __init__(self, columns: tuple[int, ...], connections: tuple[frozenset, ...]):
+        if len(connections) != max(len(columns) - 1, 0):
+            raise ShapeError("need one connection set per edge")
+        for a, pairs in enumerate(connections, start=1):
+            left_seen, right_seen = set(), set()
+            for dl, dr in pairs:
+                if not (1 <= dl <= columns[a - 1] and 1 <= dr <= columns[a]):
+                    raise ShapeError(f"edge {a}: connection ({dl},{dr}) out of range")
+                if dl in left_seen or dr in right_seen:
+                    raise ShapeError(f"edge {a}: a dot is connected twice on one side")
+                left_seen.add(dl)
+                right_seen.add(dr)
+        setfield(self, "columns", columns)
+        setfield(self, "connections", connections)
+        setfield(self, "_key", (columns, connections))
+
+
+def arrow(q: QuiverA, n: DimVector, a: int, c: int) -> tuple[int, int]:
+    """The arrow on edge a that carries the column-(a+1) constant c.
+
+    A bundle of L arrows on edge a carries the constants
+    n_{a+1}-L+1..n_{a+1}, one each.  On a rightward edge the bundle sits
+    at the bottom with constants increasing downwards; on a leftward edge
+    it sits at the top with constants increasing upwards.
+    """
+    if q.delta(a) == RIGHT:
+        b = n.at(a + 1) - c + 1
+        return (b, b)
+    return (n.at(a) - n.at(a + 1) + c, c)
+
+
+def _fset_layout(q: QuiverA, n: DimVector, fs: FSet) -> LaceDiagram:
+    """The diagram of an F-set: constant c of column k on arrow(q, n, k - 1, c)."""
+    conns = [
+        frozenset([arrow(q, n, a, c) for c in range(rng[0], rng[1] + 1)]) if rng else frozenset()
+        for a, rng in enumerate(fs.ranges, start=1)
+    ]
+    return LaceDiagram(tuple(n), tuple(conns))
+
+
+def strands(d: LaceDiagram) -> tuple[Strand, ...]:
+    """All maximal strands, sorted by (interval, dots)."""
+    right_of = {}
+    has_left = set()
+    for a, pairs in enumerate(d.connections, start=1):
+        for dl, dr in pairs:
+            right_of[(a, dl)] = dr
+            has_left.add((a + 1, dr))
+    found = []
+    for col in range(1, d.r + 1):
+        for dot in range(1, d.columns[col - 1] + 1):
+            if (col, dot) in has_left:
+                continue
+            dots = [dot]
+            v, cur = col, dot
+            while (v, cur) in right_of:
+                cur = right_of[(v, cur)]
+                v += 1
+                dots.append(cur)
+            found.append(Strand(Interval(col, v), tuple(dots)))
+    return tuple(sorted(found, key=lambda s: (s.interval, s.dots)))
+
+
+def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
+    """Exact diagram, strand multiset and (column, dot) -> strand interval of idx."""
+    d = exact_diagram(q, n, idx)
+    found = strands(d)
+    where = {(s.interval.i + k, dot): s.interval for s in found for k, dot in enumerate(s.dots)}
+    return d, Counter(s.interval for s in found), where
+
+
+def one_variable(constants: Counter) -> FactoredBFunction:
+    counts = Counter({LinearForm((1,), c): e for c, e in constants.items()})
+    return FactoredBFunction.from_counter(1, counts)
+
+
+def b_from_fset(fs: FSet) -> FactoredBFunction:
+    """Product of (s + c) over every member of every column range."""
+    constants = Counter()
+    for k in range(2, fs.r + 1):
+        for c in fs.members(k):
+            constants[c] += 1
+    return one_variable(constants)
+
+
+def bfun_to_json(b: FactoredBFunction) -> dict:
+    return {
+        "variables": b.num_labels,
+        "factors": [
+            dict(_form_to_json(form), multiplicity=mult) for form, mult in b.factors
+        ],
+    }

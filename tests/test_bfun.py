@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -351,3 +352,36 @@ def test_factors_need_a_nonempty_support():
     form = LinearForm((0, 1, 1), 4)
     assert FactoredBFunction(3, ((form, 2),)).factors == ((form, 2),)
     assert form.sort_key() == (2, (2, 3), 4)
+
+
+def test_one_variable_matches_the_from_counter_build():
+    """Seeded constant counts, empty included: the same factors as from_counter sorted them."""
+    rng = random.Random(2514)
+    for _ in range(400):
+        constants = Counter({rng.randint(1, 40): rng.randint(1, 6) for _ in range(rng.randint(0, 12))})
+        assert FactoredBFunction.one_variable(constants) == reference.one_variable(constants)
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [{3: 0}, {3: -2}, {0: 1}, {-1: 1}, {2: 1, 0: 2}, {5: 1, 2: 0}, {4: 2, -3: 0}, {1: 1, 7: -1}],
+)
+def test_one_variable_refuses_what_the_from_counter_build_refused(constants):
+    """A zero or negative multiplicity, or a constant below 1, raises the same ShapeError."""
+    with pytest.raises(ShapeError) as want:
+        reference.one_variable(Counter(constants))
+    with pytest.raises(ShapeError, match=re.escape(str(want.value))):
+        FactoredBFunction.one_variable(Counter(constants))
+
+
+def test_b_from_fset_matches_a_per_member_count():
+    """Every F-set of reference_chains(), and F-sets with no range or every range."""
+    checked = 0
+    for q, n in reference_chains():
+        fsets = invariant_fsets(q, n)
+        fsets.append(FSet(q.r, (None,) * (q.r - 1)))
+        fsets.append(FSet(q.r, tuple((1, n.at(k)) for k in range(2, q.r + 1))))
+        for fs in fsets:
+            assert b_from_fset(fs) == reference.b_from_fset(fs)
+            checked += 1
+    assert checked > 700

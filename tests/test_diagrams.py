@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import reference
-from conftest import ALT5, EQUI5, instance, random_instance, reference_chains
+from conftest import ALT5, EQUI5, doctored_diagram, instance, random_instance, reference_chains, strand_diagrams
 from test_acceptance import shared_instances
 from qbfun import (
     Interval,
@@ -20,7 +20,8 @@ from qbfun import (
     strand_multiset,
     strands,
 )
-from qbfun.diagrams import empty_diagram
+from qbfun.bfun import FSet, invariant_fsets
+from qbfun.diagrams import _fset_layout, arrow, empty_diagram
 from qbfun.errors import ShapeError
 from qbfun.invariants import MatrixRep
 
@@ -210,3 +211,90 @@ def test_fset_layout_matches_the_bundle_reference():
             assert labeled_exact_diagram(q, n, idx).diagram == d
             checked += 1
     assert checked > 300
+
+
+def test_strands_match_the_dot_by_dot_reference():
+    """One strand sweep gives the strands and multiset the dot-by-dot walk gave.
+
+    Complete and exact diagrams of every reference chain, and seeded
+    doctored diagrams (crossing pairs, empty edges, isolated dots).
+    """
+    checked = 0
+    for q, n, d in strand_diagrams():
+        want = reference.strands(d)
+        assert strands(d) == want, (str(q), d)
+        assert strand_multiset(d) == Counter(s.interval for s in want)
+        checked += 1
+    assert checked > 800
+
+
+def test_arrow_and_fset_layout_match_the_one_arrow_reference():
+    """arrow on every edge and constant, and the layout of every F-set and the complete one."""
+    checked = 0
+    for q, n in reference_chains():
+        for a in q.edges():
+            for c in range(1, n.at(a + 1) + 1):
+                assert arrow(q, n, a, c) == reference.arrow(q, n, a, c)
+        complete = FSet(q.r, tuple((n.at(k) - min(n.at(k - 1), n.at(k)) + 1, n.at(k)) for k in range(2, q.r + 1)))
+        for fs in [complete, *invariant_fsets(q, n)]:
+            assert _fset_layout(q, n, fs) == reference._fset_layout(q, n, fs), (str(q), n.entries, fs)
+            checked += 1
+        for a in (0, q.r):
+            with pytest.raises(ShapeError, match=f"edge {a} out of range"):
+                arrow(q, n, a, 1)
+    assert checked > 500
+
+
+def raised(build, columns, connections) -> str:
+    with pytest.raises(ShapeError) as info:
+        build(columns, connections)
+    return str(info.value)
+
+
+@pytest.mark.parametrize(
+    "columns, connections, message",
+    [
+        ((2, 2), ([(0, 1)],), "edge 1: connection (0,1) out of range"),
+        ((2, 2), ([(3, 1)],), "edge 1: connection (3,1) out of range"),
+        ((2, 2), ([(1, 0)],), "edge 1: connection (1,0) out of range"),
+        ((2, 2), ([(2, 3)],), "edge 1: connection (2,3) out of range"),
+        ((2, 2), ([(1, 1), (1, 2)],), "edge 1: a dot is connected twice on one side"),
+        ((2, 2), ([(1, 2), (2, 2)],), "edge 1: a dot is connected twice on one side"),
+        # both faults on one edge: whichever pair comes first decides
+        ((3, 3, 3), ([], [(1, 1), (1, 2), (4, 3)]), "edge 2: a dot is connected twice on one side"),
+        ((3, 3, 3), ([], [(4, 3), (1, 1), (1, 2)]), "edge 2: connection (4,3) out of range"),
+        ((3, 3, 3), ([(1, 1)], [(2, 2), (3, 0), (2, 3)]), "edge 2: connection (3,0) out of range"),
+        ((3, 3, 3), ([(1, 1)], [(2, 2), (2, 3), (3, 0)]), "edge 2: a dot is connected twice on one side"),
+        ((2, 2, 2), ([(1, 1)],), "need one connection set per edge"),
+    ],
+)
+def test_invalid_diagrams_raise_the_pairwise_errors(columns, connections, message):
+    """The exact text of the pair-by-pair check, for the pairs in the given order."""
+    assert raised(reference.PairwiseLaceDiagram, columns, connections) == message
+    assert raised(LaceDiagram, columns, connections) == message
+
+
+def test_invalid_diagrams_raise_as_the_pairwise_check_on_seeded_faults():
+    """A bad pair put into a doctored edge: same error as the pair-by-pair check, as a list and as a frozenset."""
+    rng = random.Random(2513)
+    checked = 0
+    while checked < 300:
+        q, n, d = doctored_diagram(rng)
+        if q.r < 2:
+            continue
+        a = rng.randint(1, q.r - 1)
+        left, right = d.columns[a - 1], d.columns[a]
+        bad = rng.choice(
+            [(0, rng.randint(1, right)), (left + 1, 1), (1, right + rng.randint(1, 3)), (rng.randint(1, left), 1), (1, rng.randint(1, right))]
+        )
+        pairs = sorted(d.edge(a))
+        pairs.insert(rng.randint(0, len(pairs)), bad)
+        for edge in (pairs, frozenset(pairs)):
+            conns = d.connections[: a - 1] + (edge,) + d.connections[a:]
+            try:
+                reference.PairwiseLaceDiagram(d.columns, conns)
+            except ShapeError as exc:
+                assert raised(LaceDiagram, d.columns, conns) == str(exc)
+                checked += 1
+            else:
+                assert LaceDiagram(d.columns, conns).connections == conns

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALT5, EQUI5, instance, random_instance
+import reference
+from conftest import ALT5, EQUI5, instance, random_instance, reference_chains
 from qbfun import (
     b_multivariate,
     b_one_variable,
     complete_diagram,
     diagram_to_matrices,
+    enumerate_invariants,
     exact_diagram,
     f_set,
     fset_of_invariant,
@@ -213,3 +215,16 @@ def test_writer_matches_the_stdlib_on_edge_documents(data):
 def test_writer_rejects_what_the_cli_never_emits(data):
     with pytest.raises(TypeError):
         jsonio.dumps(data)
+
+
+def test_bfun_documents_match_the_form_by_form_reference():
+    """Key order included: one- and several-variable b-functions of every reference chain, and a coefficient 2."""
+    from qbfun.bfun import FactoredBFunction, LinearForm
+
+    docs = [FactoredBFunction(1, ((LinearForm((2,), 3), 1),)), FactoredBFunction(1, ())]
+    for q, n in reference_chains():
+        docs.append(b_multivariate(q, n))
+        docs.extend(b_one_variable(q, n, idx) for idx in enumerate_invariants(q, n))
+    for b in docs:
+        assert json.dumps(bfun_to_json(b)) == json.dumps(reference.bfun_to_json(b))
+    assert len(docs) > 500

@@ -1,15 +1,19 @@
+import copy
 import hashlib
+import pickle
 import random
 from itertools import product
 from operator import add
 
 import pytest
-from conftest import A7, ALT5, EQUI5, instance, random_instance, random_quiver
+import reference
+from conftest import A7, ALT5, EQUI5, instance, random_instance, random_quiver, strand_diagrams
 from qbfun import (
     Comparison,
     DimVector,
     Interval,
     MatrixRep,
+    b_one_variable,
     closure_compare,
     complete_diagram,
     diagram_to_matrices,
@@ -533,3 +537,54 @@ def test_each_restriction_diagnostic_fires_on_a_doctored_diagram(monkeypatch, ex
     monkeypatch.setattr(ranks, "exact_diagram", lambda q, n, idx: doctored if idx is idx_f else real(q, n, idx))
     with pytest.raises(DiagnosticError, match=message):
         restricted_invariant_shape(q, n, idx_slice, idx_f)
+
+
+def test_slice_side_matches_the_strand_record_reference(monkeypatch):
+    """The slice side of any diagram: its multiset, and its dot map read back as intervals.
+
+    Complete and exact diagrams of every reference chain and seeded
+    doctored ones, each handed to both sides as the exact diagram.
+    """
+    for q, n, d in strand_diagrams():
+        monkeypatch.setattr(ranks, "exact_diagram", lambda *args: d)
+        monkeypatch.setattr(reference, "exact_diagram", lambda *args: d)
+        got, vertices, where = _slice_side.__wrapped__(q, n, None)
+        want, counts, intervals = reference._slice_side(q, n, None)
+        assert got is d and want is d
+        assert vertices == tuple(sorted(counts.items()))
+        read_back = {(v, dot): vertices[k][0] for v, row in enumerate(where, start=1) for dot, k in enumerate(row) if dot}
+        assert read_back == intervals, (str(q), d)
+
+
+def test_local_b_from_the_restriction_walk_matches_the_closed_formula():
+    """Every non-constant restriction's local b, also on copies that keep only the fields."""
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(40):
+        q, n, invs = random_instance(rng, rmax=12, nmax=8)
+        for s in invs:
+            for f in invs:
+                shape = restricted_invariant_shape(q, n, s, f)
+                if shape.constant:
+                    continue
+                closed = b_one_variable(shape.quiver, shape.dims, shape.index)
+                assert shape.local_b() == closed
+                for clone in (copy.copy(shape), pickle.loads(pickle.dumps(shape)), type(shape)(*shape._key)):
+                    assert clone == shape and repr(clone) == repr(shape)
+                    assert clone.local_b() == closed
+                checked += 1
+    assert checked > 100
+
+
+def test_slice_ext_check_fires_on_a_doctored_diagram(monkeypatch):
+    """Strands [1,2] and [2,2] on 1->2 have Ext count -1: no slice is read off them."""
+    q, n = instance("1->2", (1, 2))
+    doctored = LaceDiagram((1, 2), (frozenset({(1, 1)}),))
+    monkeypatch.setattr(ranks, "exact_diagram", lambda *args: doctored)
+    _slice_side.cache_clear()
+    message = r"Ext count -1 for \[2,2\], \[1,2\]; not a valid summand pair"
+    with pytest.raises(DiagnosticError, match=message):
+        slice_representation(q, n, invariant_index(q, 1, 2))
+    with pytest.raises(DiagnosticError, match=message):
+        summand_ext(q, Interval(2, 2), Interval(1, 2))
+    _slice_side.cache_clear()
