@@ -198,15 +198,10 @@ def fset_of_invariant(q: QuiverA, n: DimVector, idx: InvariantIndex) -> FSet:
     level c into t: the diagram has c connections on edge t-1, and the
     adjacent rank of a diagram point is its connection count.
     """
-    return _levels_fset(q.r, n, check_invariant(q, n, idx))
-
-
-def _levels_fset(r: int, n: DimVector, levels) -> FSet:
-    """The F-set of a walk's levels (t, c): column t carries n_t - c + 1..n_t."""
-    ranges = [None] * (r - 1)
-    for t, c in levels:
+    ranges = [None] * (q.r - 1)
+    for t, c in check_invariant(q, n, idx):
         ranges[t - 2] = (n.at(t) - c + 1, n.at(t))
-    return FSet(r, tuple(ranges))
+    return FSet(q.r, tuple(ranges))
 
 
 def b_from_fset(fs: FSet) -> FactoredBFunction:

@@ -45,11 +45,7 @@ from .oracle import (
     oracle_b_function,
 )
 from .quiver import DimVector, parse_quiver
-from .ranks import (
-    rank_parameter,
-    restricted_invariant_shape,
-    slice_representation,
-)
+from .ranks import normal_slice, rank_parameter, restrict
 from .render import LabeledDiagram, render_ascii, render_svg, superposed_diagram, labeled_exact_diagram
 
 
@@ -195,10 +191,10 @@ def _cmd_ranks(args):
 
 def _cmd_slice(args):
     q, n, idx = _instance(args)
-    srep = slice_representation(q, n, idx)
+    s = normal_slice(q, n, idx)
     restrictions = []
     for other in enumerate_invariants(q, n):
-        shape = restricted_invariant_shape(q, n, idx, other)
+        shape = restrict(q, n, s, other)
         item = {"pq": [other.p, other.q], "constant": shape.constant}
         if not shape.constant:
             item.update(
@@ -208,11 +204,11 @@ def _cmd_slice(args):
                 b=bfun_to_json(shape.local_b()),
             )
         restrictions.append(item)
-    data = {"pq": [idx.p, idx.q], "slice": slice_to_json(srep), "restrictions": restrictions}
+    data = {"pq": [idx.p, idx.q], "slice": slice_to_json(s.rep), "restrictions": restrictions}
 
     def text():
-        group = " x ".join(f"GL({m})" for m in srep.group_factors())
-        w = " + ".join(f"M({a},{b})" for a, b in srep.w_summands())
+        group = " x ".join(f"GL({m})" for m in s.rep.group_factors())
+        w = " + ".join(f"M({a},{b})" for a, b in s.rep.w_summands())
         return f"{group}\nW = {w if w else '0'}"
 
     _emit(args, data, text)

@@ -9,7 +9,7 @@ on a malformed document.  dumps writes every document the CLI prints.
 from __future__ import annotations
 
 from functools import wraps
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii  # the C encoder json.encoder re-exports, without loading json
 
 from .bfun import AFunction, FactoredBFunction, FSet, LinearForm
 from .diagrams import LaceDiagram
@@ -137,6 +137,8 @@ def _form_to_json(form: LinearForm) -> dict:
 def _form_from_json(data: dict, num_labels: int) -> LinearForm:
     coeffs = [0] * num_labels
     for key, c in data["coeffs"].items():
+        if int(key[1:]) < 1:
+            raise QuiverParseError(f"coefficient key {key!r}; labels start at s1")
         coeffs[int(key[1:]) - 1] = c
     return LinearForm(tuple(coeffs), data["constant"])
 
@@ -236,6 +238,8 @@ def fset_to_json(fs: FSet) -> dict:
 def fset_from_json(data: dict) -> FSet:
     ranges = [None] * (data["size"] - 1)
     for item in data["columns"]:
+        if not 2 <= item["k"] <= data["size"]:
+            raise QuiverParseError(f"column k = {item['k']!r} outside 2..{data['size']}")
         if item["range"] is not None:
             ranges[item["k"] - 2] = tuple(item["range"])
     return FSet(data["size"], tuple(ranges))
@@ -274,6 +278,8 @@ def diagram_from_json(data: dict) -> LaceDiagram:
     columns = tuple(data["columns"])
     conns = [frozenset() for _ in range(len(columns) - 1)]
     for item in data["edges"]:
+        if not 1 <= item["edge"] < len(columns):
+            raise QuiverParseError(f"edge {item['edge']!r} outside 1..{len(columns) - 1}")
         conns[item["edge"] - 1] = frozenset(tuple(p) for p in item["pairs"])
     return LaceDiagram(columns, tuple(conns))
 
@@ -297,6 +303,8 @@ def slice_from_json(data: dict) -> SliceRep:
         for item in data["vertices"]
     )
     arrows = {(item["from"], item["to"]): item["count"] for item in data["arrows"]}
+    if any(not 1 <= v <= len(vertices) for pair in arrows for v in pair):
+        raise QuiverParseError(f"slice arrows must join vertices 1..{len(vertices)}")
     return SliceRep(vertices, arrows)
 
 

@@ -9,7 +9,6 @@ left.  All public vertex, edge, and dot indices are 1-based.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -23,7 +22,9 @@ LEFT = -1
 class QuiverA(Record):
     """Orientation data of a type-A quiver with ``r`` vertices."""
 
-    __slots__ = ("r", "directions", "__dict__")  # __dict__ holds the cached turns, _nu and _rights
+    # derived: turns (interior sinks and sources), _nu (sinks_sources's sequence) and
+    # _rights ([k] = rightward edges among 1..k, k = 0..r-1)
+    __slots__ = ("r", "directions", "turns", "_nu", "_rights")
 
     def __init__(self, r: int, directions: tuple[int, ...]):
         if r < 1:
@@ -35,6 +36,10 @@ class QuiverA(Record):
         setfield(self, "r", r)
         setfield(self, "directions", directions)
         setfield(self, "_key", (r, directions))
+        turns = frozenset(v for v in range(2, r) if directions[v - 2] != directions[v - 1])
+        setfield(self, "turns", turns)
+        setfield(self, "_nu", tuple(sorted(turns | {1, r})))
+        setfield(self, "_rights", (0, *accumulate(d == RIGHT for d in directions)))
 
     def delta(self, a: int) -> int:
         """Direction of edge ``a`` (1 <= a <= r-1): +1 rightward, -1 leftward."""
@@ -61,20 +66,6 @@ class QuiverA(Record):
     def is_source(self, v: int) -> bool:
         """Interior source: both neighbouring edges point away from ``v``."""
         return v in self.turns and self.directions[v - 2] == LEFT
-
-    @cached_property
-    def turns(self) -> frozenset[int]:
-        """The interior sinks and sources: the vertices whose two edges point different ways."""
-        d = self.directions
-        return frozenset(v for v in range(2, self.r) if d[v - 2] != d[v - 1])
-
-    @cached_property
-    def _nu(self) -> tuple[int, ...]:  # the sink/source sequence that sinks_sources returns
-        return tuple(sorted(self.turns | {1, self.r}))
-
-    @cached_property
-    def _rights(self) -> tuple[int, ...]:  # [k] = rightward edges among 1..k, k = 0..r-1
-        return (0, *accumulate(d == RIGHT for d in self.directions))
 
     def dual(self) -> "QuiverA":
         """The quiver with every arrow reversed."""

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from functools import lru_cache
 
 from . import linalg
-from .bfun import FactoredBFunction, _levels_fset, b_from_fset
+from .bfun import FactoredBFunction, b_one_variable
 from .diagrams import _strand_sweep, exact_diagram
 from .errors import DiagnosticError, NotAnInvariantError, ShapeError
 from .invariants import InvariantIndex, MatrixRep, check_invariant, invariant_index
@@ -262,7 +261,20 @@ class SliceRep(Record):
         return sum(rows * cols for rows, cols in self.w_summands())
 
 
-def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> SliceRep:
+class NormalSlice(Record):
+    """The slice at the orbit of the invariant index: its exact diagram, dot map and SliceRep, built once."""
+
+    __slots__ = ("index", "diagram", "where", "rep")
+
+    def __init__(self, index: InvariantIndex, diagram, where: list, rep: SliceRep):
+        setfield(self, "index", index)
+        setfield(self, "diagram", diagram)
+        setfield(self, "where", where)
+        setfield(self, "rep", rep)
+        setfield(self, "_key", (index, diagram, where, rep))
+
+
+def normal_slice(q: QuiverA, n: DimVector, idx: InvariantIndex) -> NormalSlice:
     """Local quiver of the exact diagram's strand decomposition.
 
     Only intervals that overlap or touch (w.i <= u.j + 1 and w.j >= u.i - 1)
@@ -270,7 +282,7 @@ def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> Slice
     its Euler form is 0.  The vertices are sorted by (i, j), so the walk
     over w stops at the first w.i > u.j + 1.
     """
-    _, vertices, _ = _slice_side(q, n, idx)
+    d, vertices, where = _slice_side(q, n, idx)
     spans = [(iv.i, iv.j) for iv, _ in vertices]
     rights = q._rights
     arrows = {}
@@ -283,17 +295,19 @@ def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> Slice
                 e = (a == b) - _interval_euler(rights, ui, uj, wi, wj)
                 if e:
                     arrows[(a, b)] = _checked_ext(e, vertices[a - 1][0], vertices[b - 1][0])
-    return SliceRep(vertices, arrows)
+    return NormalSlice(idx, d, where, SliceRep(vertices, arrows))
 
 
-@lru_cache(maxsize=1)
+def slice_representation(q: QuiverA, n: DimVector, idx: InvariantIndex) -> SliceRep:
+    """The SliceRep of normal_slice."""
+    return normal_slice(q, n, idx).rep
+
+
 def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
     """Exact diagram, sorted (interval, multiplicity) pairs and dot map of idx.
 
     The dot map's row v - 1 holds, at each dot of column v, the position
     in the sorted pairs of its strand's interval (entry 0 is unused).
-    Cached for the run of calls that share one slice invariant: a slice
-    request restricts every other invariant to the same slice.
     """
     d = exact_diagram(q, n, idx)
     alone, longer = _strand_sweep(d)
@@ -314,48 +328,47 @@ def _slice_side(q: QuiverA, n: DimVector, idx: InvariantIndex):
 class RestrictedInvariant(Record):
     """Restriction of one invariant to the slice of another's orbit.
 
-    Either constant, or a path-shaped local quiver with dimension vector
-    and invariant index; the local one-variable b-function is the
-    b-function of the restriction.
+    Either constant, or a path-shaped local quiver with dimension vector,
+    invariant index and path: the local vertices' 1-based positions in the
+    slice's vertices, in path order.  local_b is the b-function of the restriction.
     """
 
-    __slots__ = ("constant", "quiver", "dims", "index", "__dict__")  # __dict__ holds the local walk's levels
+    __slots__ = ("constant", "quiver", "dims", "index", "path")
 
-    def __init__(self, constant: bool, quiver: QuiverA = None, dims: DimVector = None, index: InvariantIndex = None):
+    def __init__(self, constant: bool, quiver: QuiverA = None, dims: DimVector = None, index=None, path=None):
         setfield(self, "constant", constant)
         setfield(self, "quiver", quiver)
         setfield(self, "dims", dims)
         setfield(self, "index", index)
-        setfield(self, "_key", (constant, quiver, dims, index))
+        setfield(self, "path", path)
+        setfield(self, "_key", (constant, quiver, dims, index, path))
 
     def local_b(self) -> FactoredBFunction | None:
-        """b_one_variable of the local invariant, read off the levels of its walk."""
-        if self.constant:
-            return None
-        levels = self.__dict__.get("levels")
-        if levels is None:  # built from its fields, not by restricted_invariant_shape: walk again
-            levels = check_invariant(self.quiver, self.dims, self.index)
-        return b_from_fset(_levels_fset(self.quiver.r, self.dims, levels))
+        """b_one_variable of the local invariant."""
+        return None if self.constant else b_one_variable(self.quiver, self.dims, self.index)
 
 
-def restricted_invariant_shape(
-    q: QuiverA, n: DimVector, idx_slice: InvariantIndex, idx_f: InvariantIndex
-) -> RestrictedInvariant:
-    """Shape of f_{idx_f} restricted to the slice at the orbit of idx_slice.
+def restricted_invariant_shape(q: QuiverA, n: DimVector, idx_slice: InvariantIndex, idx_f: InvariantIndex):
+    """Shape of f_{idx_f} restricted to the slice at the orbit of idx_slice."""
+    return restrict(q, n, normal_slice(q, n, idx_slice), idx_f)
+
+
+def restrict(q: QuiverA, n: DimVector, s: NormalSlice, idx_f: InvariantIndex) -> RestrictedInvariant:
+    """Shape of f_{idx_f} restricted to the slice s.
 
     The connections of the exact diagram of idx_f that are absent from
-    the exact diagram of idx_slice are transferred to the slice's local
-    quiver: a connection joins the strands of idx_slice's diagram that
-    contain its endpoints.  Read edge by edge from left to right, each
-    edge that moves connections must join one pair of strand intervals
-    whose left one ends the path so far, so that they trace out a path
-    of Ext-adjacent local vertices carrying the exact diagram of the
-    local invariant between the path's ends; anything else is surfaced
-    as a diagnostic error.
+    the exact diagram of the slice invariant are transferred to the
+    slice's local quiver: a connection joins the strands of the slice
+    invariant's diagram that contain its endpoints.  Read edge by edge
+    from left to right, each edge that moves connections must join one
+    pair of strand intervals whose left one ends the path so far, so that
+    they trace out a path of local vertices joined by slice arrows,
+    carrying the exact diagram of the local invariant between the path's
+    ends; anything else is surfaced as a diagnostic error.
     """
-    d_slice, vertices, where = _slice_side(q, n, idx_slice)
-    if idx_f == idx_slice:
+    if idx_f == s.index:
         return RestrictedInvariant(constant=True)
+    d_slice, where, vertices, arrows = s.diagram, s.where, s.rep.vertices, s.rep.arrows
     d_f = exact_diagram(q, n, idx_f)
 
     walk, directions, got = [], [], []
@@ -378,9 +391,8 @@ def restricted_invariant_shape(
             raise DiagnosticError(f"edge {a}: transferred arrows return to {vertices[right][0]}; not a simple path")
         d = q.directions[a - 1]
         tail, head = (left, right) if d == RIGHT else (right, left)
-        u, w = vertices[tail][0], vertices[head][0]
-        if summand_ext(q, u, w) != 1:
-            raise DiagnosticError(f"transferred arrows {u} -> {w} without a slice arrow")
+        if arrows.get((tail + 1, head + 1)) != 1:
+            raise DiagnosticError(f"transferred arrows {vertices[tail][0]} -> {vertices[head][0]} without a slice arrow")
         walk.append(right)
         directions.append(d)
         got.append(len(moved))
@@ -400,6 +412,4 @@ def restricted_invariant_shape(
         raise DiagnosticError(
             f"transferred arrow counts {tuple(got)} do not match the local exact diagram {expected}"
         )
-    shape = RestrictedInvariant(False, local_q, local_n, local_idx)
-    shape.__dict__["levels"] = levels
-    return shape
+    return RestrictedInvariant(False, local_q, local_n, local_idx, tuple(v + 1 for v in walk))

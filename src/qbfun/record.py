@@ -2,11 +2,12 @@
 
 A record lists its fields in ``__slots__`` and sets each of them once in
 a straight-line ``__init__``, together with ``_key``, the tuple of all
-its fields in constructor order.  Equality and hashing go through the
-key, so a record hashes like the tuple of its fields.  Only a class
-declared with ``order=True`` compares by ``<`` and friends, and only
-with records of its own class.  A record pickles and copies as its class
-called on its key.
+its fields in constructor order.  Slots after the fields hold values
+derived from them; they are not in the key, and the repr leaves them
+out.  Equality and hashing go through the key, so a record hashes like
+the tuple of its fields.  Only a class declared with ``order=True``
+compares by ``<`` and friends, and only with records of its own class.
+A record pickles and copies as its class called on its key.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class Record:
 
     def __init_subclass__(cls, order=False, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _lt, _le, _gt, _ge
 
@@ -35,7 +35,7 @@ class Record:
         return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -105,6 +105,31 @@ def test_slice_command(capsys):
     assert others[0]["quiver"] == "1->2->3->4"
 
 
+def test_slice_request_builds_the_slice_diagram_once(monkeypatch, capsys):
+    """One slice value per request: the slice invariant's exact diagram is built once, each other one once."""
+    from qbfun import ranks
+
+    built = Counter()
+    real = ranks.exact_diagram
+
+    def counted(q, n, idx):
+        built[(idx.p, idx.q)] += 1
+        return real(q, n, idx)
+
+    monkeypatch.setattr(ranks, "exact_diagram", counted)
+    for quiver, dims, pq, invariants in (
+        ("1->2->3->4->5", "2,5,6,6,2", (3, 4), 2),
+        ("1->2<-3->4<-5", "2,5,7,4,2", (1, 4), 2),
+        ("R,R,R,R,R,R,R,R,R,R,R,R,R,R,R,R,R,R,R", "12,14," * 9 + "12,14", (9, 11), 9),
+    ):
+        built.clear()
+        code, out = run(capsys, "slice", "--quiver", quiver, "--dims", dims, "--pq", ",".join(map(str, pq)))
+        assert code == 0
+        assert len(json.loads(out)["restrictions"]) == invariants
+        assert built[pq] == 1
+        assert set(built.values()) == {1} and len(built) == invariants
+
+
 def test_verify_command_passes(capsys):
     code, out = run(
         capsys, "verify", "--quiver", "1->2->3", "--dims", "1,2,1", "--multi", "1",
@@ -317,11 +342,15 @@ def test_answers_leave_no_cyclic_garbage(capsys):
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_html():
-    """The import path of the CLI stays light: these modules cost more to import than qbfun itself."""
+    """The import path of the CLI stays light.
+
+    dataclasses, inspect and html cost more to import than qbfun itself;
+    json stays out because jsonio takes its C string encoder from _json.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import qbfun.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'html'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'html', 'json'} & set(sys.modules)))"
     )
     done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

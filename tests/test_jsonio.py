@@ -117,6 +117,57 @@ def test_rank_decoder_checks_the_triangle():
             rank_from_json(data)
 
 
+# Each decoder below indexes a list by a number read from the document; an index
+# below the range would wrap to the end of the list, so it is refused.
+
+def test_fset_decoder_refuses_columns_outside_the_range():
+    column = {"k": 3, "range": [1, 2]}
+    assert fset_from_json({"size": 3, "columns": [column]}).column(3) == (1, 2)
+    for k in (1, 0, -1, 4):
+        with pytest.raises(QuiverParseError, match="column k"):
+            fset_from_json({"size": 3, "columns": [dict(column, k=k)]})
+
+
+def test_diagram_decoder_refuses_edges_outside_the_range():
+    edge = {"edge": 1, "pairs": [[1, 1]]}
+    assert diagram_from_json({"columns": [1, 1, 1], "edges": [edge]}).edge(1) == {(1, 1)}
+    for a in (0, -1, 3):
+        with pytest.raises(QuiverParseError, match="edge"):
+            diagram_from_json({"columns": [1, 1, 1], "edges": [dict(edge, edge=a)]})
+
+
+def bfun_document(key):
+    form = {"coeffs": {key: 1}, "constant": 1, "support": ["m1"]}
+    return {"variables": 2, "factors": [dict(form, multiplicity=1)]}
+
+
+def test_bfun_decoder_refuses_labels_below_s1():
+    assert bfun_from_json(bfun_document("s2")).factors[0][0].coeffs == (0, 1)
+    for key in ("s0", "s-1"):
+        with pytest.raises(QuiverParseError, match="labels start at s1"):
+            bfun_from_json(bfun_document(key))
+
+
+def test_afun_decoder_refuses_labels_below_s1():
+    def document(key):
+        factor = bfun_document(key)["factors"][0]
+        del factor["multiplicity"]
+        return {"variables": 2, "factors": [dict(factor, connections=1)]}
+
+    assert afun_from_json(document("s2")).factors[0][0].coeffs == (0, 1)
+    for key in ("s0", "s-1"):
+        with pytest.raises(QuiverParseError, match="labels start at s1"):
+            afun_from_json(document(key))
+
+
+def test_slice_decoder_refuses_arrows_outside_the_vertices():
+    vertices = [{"interval": [1, 1], "mult": 2}, {"interval": [2, 2], "mult": 3}]
+    assert slice_from_json({"vertices": vertices, "arrows": [{"from": 1, "to": 2, "count": 1}]}).w_summands() == ((3, 2),)
+    for src, dst in ((0, 1), (1, 0), (-1, 2), (1, 3)):
+        with pytest.raises(QuiverParseError, match="slice arrows"):
+            slice_from_json({"vertices": vertices, "arrows": [{"from": src, "to": dst, "count": 1}]})
+
+
 # -- the writer ---------------------------------------------------------------------
 
 def chain_requests(quiver, dims, invs, verify=False):

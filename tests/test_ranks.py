@@ -466,7 +466,6 @@ def test_slices_reject_a_non_invariant_with_a_cold_or_warm_cache():
     good, bad = invariant_index(q, 3, 4), invariant_index(q, 1, 2)
     assert not is_invariant(q, n, 1, 2)
     for warm in (False, True):
-        _slice_side.cache_clear()
         if warm:
             slice_representation(q, n, good)
         with pytest.raises(NotAnInvariantError):
@@ -548,7 +547,7 @@ def test_slice_side_matches_the_strand_record_reference(monkeypatch):
     for q, n, d in strand_diagrams():
         monkeypatch.setattr(ranks, "exact_diagram", lambda *args: d)
         monkeypatch.setattr(reference, "exact_diagram", lambda *args: d)
-        got, vertices, where = _slice_side.__wrapped__(q, n, None)
+        got, vertices, where = _slice_side(q, n, None)
         want, counts, intervals = reference._slice_side(q, n, None)
         assert got is d and want is d
         assert vertices == tuple(sorted(counts.items()))
@@ -576,15 +575,46 @@ def test_local_b_from_the_restriction_walk_matches_the_closed_formula():
     assert checked > 100
 
 
+def test_restriction_paths_of_the_readme_slices_are_pinned():
+    """path: the local vertices' positions in the slice's vertices, in path order."""
+    for example, slice_pq, f_pq, path in ((EQUI5, (3, 4), (1, 5), (1, 2, 3, 4)), (ALT5, (1, 4), (2, 5), (1, 3, 4))):
+        q, n = instance(*example)
+        idx_slice = invariant_index(q, *slice_pq)
+        shape = restricted_invariant_shape(q, n, idx_slice, invariant_index(q, *f_pq))
+        assert shape.path == path
+        assert restricted_invariant_shape(q, n, idx_slice, idx_slice).path is None
+
+
+def test_restriction_paths_follow_slice_arrows():
+    """Every non-constant restriction's path carries its dims and one slice arrow along each local edge."""
+    rng = random.Random(54)
+    checked = 0
+    for _ in range(40):
+        q, n, invs = random_instance(rng, rmax=12, nmax=8)
+        for s in invs:
+            srep = slice_representation(q, n, s)
+            for f in invs:
+                shape = restricted_invariant_shape(q, n, s, f)
+                if shape.constant:
+                    assert shape.path is None
+                    continue
+                path = shape.path
+                assert len(path) == shape.quiver.r and len(set(path)) == len(path)
+                assert shape.dims.entries == tuple(srep.vertices[v - 1][1] for v in path)
+                for a, (u, w) in enumerate(zip(path, path[1:]), start=1):
+                    tail, head = (u, w) if shape.quiver.delta(a) == 1 else (w, u)
+                    assert srep.arrows.get((tail, head)) == 1
+                checked += 1
+    assert checked > 100
+
+
 def test_slice_ext_check_fires_on_a_doctored_diagram(monkeypatch):
     """Strands [1,2] and [2,2] on 1->2 have Ext count -1: no slice is read off them."""
     q, n = instance("1->2", (1, 2))
     doctored = LaceDiagram((1, 2), (frozenset({(1, 1)}),))
     monkeypatch.setattr(ranks, "exact_diagram", lambda *args: doctored)
-    _slice_side.cache_clear()
     message = r"Ext count -1 for \[2,2\], \[1,2\]; not a valid summand pair"
     with pytest.raises(DiagnosticError, match=message):
         slice_representation(q, n, invariant_index(q, 1, 2))
     with pytest.raises(DiagnosticError, match=message):
         summand_ext(q, Interval(2, 2), Interval(1, 2))
-    _slice_side.cache_clear()

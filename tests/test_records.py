@@ -62,7 +62,7 @@ def _examples():
         "SliceRep": (slice_representation(q, n, idx), ("vertices", "arrows")),
         "RestrictedInvariant": (
             restricted_invariant_shape(q, n, idx, invariant_index(q, 1, 5)),
-            ("constant", "quiver", "dims", "index"),
+            ("constant", "quiver", "dims", "index", "path"),
         ),
         "LabeledDiagram": (superposed_diagram(q, n), ("quiver", "diagram", "labels")),
         "Budget": (Budget(), ("invariant_terms", "state_terms", "matrix_size")),
@@ -203,7 +203,7 @@ def test_budget_keywords_and_defaults():
 
 def test_restricted_invariant_defaults():
     shape = RestrictedInvariant(constant=True)
-    assert fields(shape) == (True, None, None, None)
+    assert fields(shape) == (True, None, None, None, None)
     assert shape.local_b() is None
     assert shape == RestrictedInvariant(True)
 
