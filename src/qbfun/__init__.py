@@ -4,9 +4,7 @@ from .quiver import (
     DimVector,
     Interval,
     QuiverA,
-    dual,
     euler_form,
-    interval_vector,
     parse_quiver,
     sinks_sources,
 )
@@ -15,7 +13,6 @@ from .invariants import (
     InvariantIndex,
     MatrixRep,
     block_spec,
-    character_exponents,
     enumerate_invariants,
     evaluate_invariant,
     invariant_index,
@@ -28,7 +25,6 @@ from .diagrams import (
     complete_diagram,
     diagram_to_matrices,
     exact_diagram,
-    strand_multiset,
     strands,
 )
 from .bfun import (
@@ -46,13 +42,9 @@ from .bfun import (
     superpose,
 )
 from .ranks import (
-    Comparison,
     RankParameter,
     RestrictedInvariant,
     SliceRep,
-    closure_compare,
-    hom_ext_dims,
-    interval_rep,
     rank_parameter,
     restricted_invariant_shape,
     slice_representation,

@@ -99,11 +99,6 @@ class FactoredBFunction(Record):
             raise ShapeError("constants() is for one-variable b-functions")
         return Counter({form.constant: mult for form, mult in self.factors})
 
-    def divides(self, other: "FactoredBFunction") -> bool:
-        """Exact polynomial divisibility of products of linear factors."""
-        mine, theirs = self.constants(), other.constants()
-        return all(theirs[c] >= e for c, e in mine.items())
-
     def specialize_label(self, i: int) -> "FactoredBFunction":
         """Set every m_j = delta_{ij} and s_j = s * delta_{ij}.
 
@@ -172,10 +167,6 @@ class FSet(Record):
     def column(self, k: int):
         """Range for column k (2 <= k <= r)."""
         return self.ranges[k - 2]
-
-    def members(self, k: int):
-        rng = self.column(k)
-        return range(rng[0], rng[1] + 1) if rng else range(0)
 
 
 def f_set(N) -> FSet:

@@ -9,8 +9,6 @@ drawn here pair dots of equal height under that convention.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from . import linalg
 from .bfun import FSet, fset_of_invariant
 from .errors import ShapeError
@@ -50,22 +48,6 @@ class LaceDiagram(Record):
 
     def edge_counts(self) -> tuple[int, ...]:
         return tuple(len(pairs) for pairs in self.connections)
-
-    def total_connections(self) -> int:
-        return sum(self.edge_counts())
-
-    def without(self, a: int, pair) -> "LaceDiagram":
-        """Copy with one connection removed from edge a."""
-        if pair not in self.connections[a - 1]:
-            raise ShapeError(f"edge {a} has no connection {pair}")
-        conns = list(self.connections)
-        conns[a - 1] = conns[a - 1] - {tuple(pair)}
-        return LaceDiagram(self.columns, tuple(conns))
-
-
-def empty_diagram(q: QuiverA, n) -> LaceDiagram:
-    cols = tuple(n)
-    return LaceDiagram(cols, tuple(frozenset() for _ in q.edges()))
 
 
 def arrow(q: QuiverA, n: DimVector, a: int, c: int) -> tuple[int, int]:
@@ -183,34 +165,3 @@ def strands(d: LaceDiagram) -> tuple[Strand, ...]:
     found += [(col, col, (dot,)) for col, dots in enumerate(alone, start=1) for dot in dots]
     found.sort()
     return tuple(Strand(Interval(i, j), dots) for i, j, dots in found)
-
-
-def strand_multiset(d: LaceDiagram) -> Counter:
-    """Multiplicity of each interval among the strands."""
-    return Counter(s.interval for s in strands(d))
-
-
-def diagram_from_strands(r: int, multiset) -> LaceDiagram:
-    """Re-synthesize a diagram with the given interval multiplicities.
-
-    Dots are handed out per column bottom-up in sorted interval order, so
-    the result is deterministic; it represents the same point up to
-    isomorphism as any other diagram with this strand multiset.
-    """
-    laid_out = []
-    for interval in sorted(multiset):
-        laid_out.extend([interval] * multiset[interval])
-    next_dot = [0] * r
-    conns = [set() for _ in range(max(r - 1, 0))]
-    columns = [0] * r
-    for interval in laid_out:
-        if interval.j > r:
-            raise ShapeError(f"interval {interval} does not fit in {r} columns")
-        dots = []
-        for v in range(interval.i, interval.j + 1):
-            next_dot[v - 1] += 1
-            columns[v - 1] = next_dot[v - 1]
-            dots.append(next_dot[v - 1])
-        for offset in range(len(dots) - 1):
-            conns[interval.i + offset - 1].add((dots[offset], dots[offset + 1]))
-    return LaceDiagram(tuple(columns), tuple(frozenset(c) for c in conns))

@@ -261,20 +261,3 @@ def evaluate_invariant(spec: BlockMatrixSpec, rep: MatrixRep):
     if rows != cols:
         raise ShapeError(f"instantiated block matrix is {rows}x{cols}, not square")
     return linalg.det(y)
-
-
-def character_exponents(q: QuiverA, n: DimVector, idx: InvariantIndex) -> tuple[int, ...]:
-    """Exponent of det(g_v) in the character of f_{(p,q)}.
-
-    +1 on sinks of the subquiver, -1 on its sources, 0 elsewhere; under
-    the action, every sink row-block of the matrix picks up g_sigma on
-    the left and every source column-block loses g_tau on the right.
-    """
-    check_invariant(q, n, idx)
-    spec = block_structure(q, idx.p, idx.q)
-    sigma = [0] * q.r
-    for v in spec.row_blocks:
-        sigma[v - 1] = 1
-    for v in spec.col_blocks:
-        sigma[v - 1] = -1
-    return tuple(sigma)

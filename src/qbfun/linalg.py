@@ -35,10 +35,6 @@ def shape(a):
     return (len(a), len(a[0]) if a else 0)
 
 
-def transpose(a):
-    return tuple(zip(*a)) if a else ()
-
-
 def mat_mul(a, b):
     """Matrix product; entries only need + and * (ints, Fractions, polynomials).
 

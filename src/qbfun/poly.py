@@ -147,12 +147,6 @@ class MultiPolynomial:
         unpack = self.table._unpack
         return max((sum(unpack(e)) for e in self.terms), default=0)
 
-    def constant_value(self):
-        """The coefficient of the empty monomial (the value if constant)."""
-        if any(self.terms):
-            raise ShapeError("polynomial is not constant")
-        return self.terms.get(0, 0)
-
     def __eq__(self, other):
         if isinstance(other, MultiPolynomial):
             return (self.table is other.table or self.table == other.table) and self.terms == other.terms

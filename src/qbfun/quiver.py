@@ -59,14 +59,6 @@ class QuiverA(Record):
     def vertices(self):
         return range(1, self.r + 1)
 
-    def is_sink(self, v: int) -> bool:
-        """Interior sink: both neighbouring edges point at ``v``."""
-        return v in self.turns and self.directions[v - 2] == RIGHT
-
-    def is_source(self, v: int) -> bool:
-        """Interior source: both neighbouring edges point away from ``v``."""
-        return v in self.turns and self.directions[v - 2] == LEFT
-
     def dual(self) -> "QuiverA":
         """The quiver with every arrow reversed."""
         return QuiverA(self.r, tuple(-d for d in self.directions))
@@ -168,10 +160,6 @@ def sinks_sources(q: QuiverA) -> tuple[int, ...]:
     return q._nu
 
 
-def dual(q: QuiverA) -> QuiverA:
-    return q.dual()
-
-
 def _entry_seq(n, r: int):
     entries = tuple(n)
     if len(entries) != r:
@@ -194,13 +182,6 @@ def euler_form(q: QuiverA, n, m) -> int:
         # edge v + 1 joins the entries v and v + 1
         total -= nn[v] * mm[v + 1] if d == RIGHT else nn[v + 1] * mm[v]
     return total
-
-
-def interval_vector(r: int, iv: Interval) -> tuple[int, ...]:
-    """0/1 characteristic vector of [i, j] as a length-r dimension vector."""
-    if iv.j > r:
-        raise ShapeError(f"interval {iv} does not fit in {r} vertices")
-    return (0,) * (iv.i - 1) + (1,) * (iv.j - iv.i + 1) + (0,) * (r - iv.j)
 
 
 def interval_euler_form(q: QuiverA, u: Interval, w: Interval) -> int:

@@ -1,4 +1,4 @@
-"""Rank parameters, closure order, Hom/Ext dimensions, slice representations.
+"""Rank parameters, slice representations and restrictions to normal slices.
 
 The rank parameter of a point collects the ranks of the sink/source maps
 of every subinterval; componentwise comparison of rank parameters is the
@@ -9,7 +9,6 @@ exact lace diagram.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 
 from . import linalg
@@ -17,7 +16,7 @@ from .bfun import FactoredBFunction, b_one_variable
 from .diagrams import _strand_sweep, exact_diagram
 from .errors import DiagnosticError, NotAnInvariantError, ShapeError
 from .invariants import InvariantIndex, MatrixRep, check_invariant, invariant_index
-from .quiver import RIGHT, DimVector, Interval, QuiverA, _interval_euler, interval_euler_form, interval_vector
+from .quiver import RIGHT, DimVector, Interval, QuiverA, _interval_euler, interval_euler_form
 from .record import Record, setfield
 
 
@@ -149,68 +148,6 @@ def _joined(x, y):
     for k, row in y.items():
         rows[k] = {**rows[k], **row} if k in rows else row
     return rows.values()
-
-
-class Comparison(enum.Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def closure_compare(na: RankParameter, nb: RankParameter) -> Comparison:
-    """Componentwise order on rank parameters (the closure order on orbits)."""
-    if na.r != nb.r:
-        raise ShapeError("rank parameters of different sizes")
-    some_less = any(x < y for (_, _, x), (_, _, y) in zip(na, nb))
-    some_greater = any(x > y for (_, _, x), (_, _, y) in zip(na, nb))
-    if some_less and some_greater:
-        return Comparison.INCOMPARABLE
-    if some_less:
-        return Comparison.LESS
-    if some_greater:
-        return Comparison.GREATER
-    return Comparison.EQUAL
-
-
-def hom_ext_dims(q: QuiverA, rep_a: MatrixRep, rep_b: MatrixRep) -> tuple[int, int]:
-    """(dim Hom, dim Ext) as kernel and cokernel of the difference map.
-
-    The map sends a vertex-wise collection phi to
-    (phi_{h(a)} A_a - B_a phi_{t(a)})_a; each rep carries its own
-    dimension vector, zeros allowed.
-    """
-    na, nb = rep_a.check(q).dims, rep_b.check(q).dims
-    col_index = {}
-    for v in range(1, q.r + 1):
-        for u in range(nb[v - 1]):
-            for w in range(na[v - 1]):
-                col_index[(v, u, w)] = len(col_index)
-    rows = []
-    for a in q.edges():
-        h, t = q.head(a), q.tail(a)
-        A_a, B_a = rep_a.matrix(a), rep_b.matrix(a)
-        for u in range(nb[h - 1]):
-            for w in range(na[t - 1]):
-                row = {col_index[(h, u, v)]: A_a[v][w] for v in range(na[h - 1]) if A_a[v][w]}
-                row.update((col_index[(t, v, w)], -B_a[u][v]) for v in range(nb[t - 1]) if B_a[u][v])
-                rows.append(row)
-    rk = linalg.sparse_rank(rows)
-    hom = len(col_index) - rk
-    ext = len(rows) - rk
-    return hom, ext
-
-
-def interval_rep(q: QuiverA, iv: Interval) -> MatrixRep:
-    """The indecomposable supported on [i, j]: identity maps inside, zeros outside."""
-    dims = interval_vector(q.r, iv)
-    mats = []
-    for a in q.edges():
-        if iv.i <= a <= iv.j - 1:
-            mats.append([[1]])
-        else:
-            mats.append([[0] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])])
-    return MatrixRep.build(q, dims, mats)
 
 
 def summand_ext(q: QuiverA, u: Interval, w: Interval) -> int:

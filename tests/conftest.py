@@ -1,12 +1,19 @@
-"""Shared helpers: recurring worked examples and seeded random instances."""
+"""Shared helpers: recurring worked examples, seeded random instances and small check helpers.
+
+The check helpers (divides, without, transpose, strand_multiset,
+empty_diagram, constant_value) were library methods and functions that
+only the tests called; they keep their bodies as plain functions.
+"""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
-from qbfun import DimVector, LaceDiagram, QuiverA, complete_diagram, enumerate_invariants, exact_diagram, parse_quiver
+from qbfun import DimVector, LaceDiagram, QuiverA, complete_diagram, enumerate_invariants, exact_diagram, parse_quiver, strands
 from qbfun import linalg
+from qbfun.errors import ShapeError
 from qbfun.quiver import LEFT, RIGHT
 
 
@@ -124,3 +131,39 @@ def random_invertible(rng: random.Random, size: int, lo=-3, hi=3):
         m = [[rng.randint(lo, hi) for _ in range(size)] for _ in range(size)]
         if linalg.det(m) != 0:
             return linalg.mat(m)
+
+
+def divides(b, other) -> bool:
+    """Exact polynomial divisibility of products of linear factors."""
+    mine, theirs = b.constants(), other.constants()
+    return all(theirs[c] >= e for c, e in mine.items())
+
+
+def without(d: LaceDiagram, a: int, pair) -> LaceDiagram:
+    """Copy with one connection removed from edge a."""
+    if pair not in d.connections[a - 1]:
+        raise ShapeError(f"edge {a} has no connection {pair}")
+    conns = list(d.connections)
+    conns[a - 1] = conns[a - 1] - {tuple(pair)}
+    return LaceDiagram(d.columns, tuple(conns))
+
+
+def transpose(a):
+    return tuple(zip(*a)) if a else ()
+
+
+def strand_multiset(d: LaceDiagram) -> Counter:
+    """Multiplicity of each interval among the strands."""
+    return Counter(s.interval for s in strands(d))
+
+
+def empty_diagram(q: QuiverA, n) -> LaceDiagram:
+    cols = tuple(n)
+    return LaceDiagram(cols, tuple(frozenset() for _ in q.edges()))
+
+
+def constant_value(p):
+    """The coefficient of the empty monomial (the value if constant)."""
+    if any(p.terms):
+        raise ShapeError("polynomial is not constant")
+    return p.terms.get(0, 0)

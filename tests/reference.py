@@ -18,6 +18,13 @@ and ``qbfun.ranks._slice_side``, ``FactoredBFunction.one_variable`` and
 tests can require equal output from the new code.  The bundle-by-bundle
 diagrams lay out their arrows with the ``arrow`` kept here, and
 ``b_from_fset`` counts into the ``one_variable`` kept here.
+
+The last functions here left the library because only the tests called
+them, and they are kept with the same bodies: the members of an F-set
+column, the 0/1 interval vectors and interval representations, the
+(Hom, Ext) dimensions as kernel and cokernel of the difference map (the
+independent side of the slice-dimension identity), and the character
+exponents of an invariant.
 """
 
 from __future__ import annotations
@@ -25,11 +32,12 @@ from __future__ import annotations
 import sys
 from collections import Counter
 
+from qbfun import linalg
 from qbfun.bfun import FactoredBFunction, FSet, LinearForm
 from qbfun.cli import _COMMANDS, _EXIT_CODES, build_parser
 from qbfun.diagrams import LaceDiagram, Strand
 from qbfun.errors import DiagnosticError, ShapeError
-from qbfun.invariants import InvariantIndex, check_invariant
+from qbfun.invariants import InvariantIndex, MatrixRep, block_structure, check_invariant
 from qbfun.jsonio import _form_to_json
 from qbfun.poly import MultiPolynomial, VarTable
 from qbfun.quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
@@ -114,7 +122,7 @@ def merge_columns(fsets):
     for k in range(2, r + 1):
         by_constant = {}
         for label, fs in enumerate(fsets, start=1):
-            for c in fs.members(k):
+            for c in members(fs, k):
                 by_constant.setdefault(c, []).append(label)
         for c in sorted(by_constant):
             coeffs = [0] * len(fsets)
@@ -272,7 +280,7 @@ def b_from_fset(fs: FSet) -> FactoredBFunction:
     """Product of (s + c) over every member of every column range."""
     constants = Counter()
     for k in range(2, fs.r + 1):
-        for c in fs.members(k):
+        for c in members(fs, k):
             constants[c] += 1
     return one_variable(constants)
 
@@ -284,3 +292,72 @@ def bfun_to_json(b: FactoredBFunction) -> dict:
             dict(_form_to_json(form), multiplicity=mult) for form, mult in b.factors
         ],
     }
+
+
+def members(fs: FSet, k: int):
+    rng = fs.column(k)
+    return range(rng[0], rng[1] + 1) if rng else range(0)
+
+
+def interval_vector(r: int, iv: Interval) -> tuple[int, ...]:
+    """0/1 characteristic vector of [i, j] as a length-r dimension vector."""
+    if iv.j > r:
+        raise ShapeError(f"interval {iv} does not fit in {r} vertices")
+    return (0,) * (iv.i - 1) + (1,) * (iv.j - iv.i + 1) + (0,) * (r - iv.j)
+
+
+def interval_rep(q: QuiverA, iv: Interval) -> MatrixRep:
+    """The indecomposable supported on [i, j]: identity maps inside, zeros outside."""
+    dims = interval_vector(q.r, iv)
+    mats = []
+    for a in q.edges():
+        if iv.i <= a <= iv.j - 1:
+            mats.append([[1]])
+        else:
+            mats.append([[0] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])])
+    return MatrixRep.build(q, dims, mats)
+
+
+def hom_ext_dims(q: QuiverA, rep_a: MatrixRep, rep_b: MatrixRep) -> tuple[int, int]:
+    """(dim Hom, dim Ext) as kernel and cokernel of the difference map.
+
+    The map sends a vertex-wise collection phi to
+    (phi_{h(a)} A_a - B_a phi_{t(a)})_a; each rep carries its own
+    dimension vector, zeros allowed.
+    """
+    na, nb = rep_a.check(q).dims, rep_b.check(q).dims
+    col_index = {}
+    for v in range(1, q.r + 1):
+        for u in range(nb[v - 1]):
+            for w in range(na[v - 1]):
+                col_index[(v, u, w)] = len(col_index)
+    rows = []
+    for a in q.edges():
+        h, t = q.head(a), q.tail(a)
+        A_a, B_a = rep_a.matrix(a), rep_b.matrix(a)
+        for u in range(nb[h - 1]):
+            for w in range(na[t - 1]):
+                row = {col_index[(h, u, v)]: A_a[v][w] for v in range(na[h - 1]) if A_a[v][w]}
+                row.update((col_index[(t, v, w)], -B_a[u][v]) for v in range(nb[t - 1]) if B_a[u][v])
+                rows.append(row)
+    rk = linalg.sparse_rank(rows)
+    hom = len(col_index) - rk
+    ext = len(rows) - rk
+    return hom, ext
+
+
+def character_exponents(q: QuiverA, n: DimVector, idx: InvariantIndex) -> tuple[int, ...]:
+    """Exponent of det(g_v) in the character of f_{(p,q)}.
+
+    +1 on sinks of the subquiver, -1 on its sources, 0 elsewhere; under
+    the action, every sink row-block of the matrix picks up g_sigma on
+    the left and every source column-block loses g_tau on the right.
+    """
+    check_invariant(q, n, idx)
+    spec = block_structure(q, idx.p, idx.q)
+    sigma = [0] * q.r
+    for v in spec.row_blocks:
+        sigma[v - 1] = 1
+    for v in spec.col_blocks:
+        sigma[v - 1] = -1
+    return tuple(sigma)

@@ -8,8 +8,9 @@ Random instances are drawn once from a fixed seed and shared.
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import product
 
-from conftest import ALT5, EQUI5, A7, instance, oracle_family, random_instance, random_quiver
+from conftest import ALT5, EQUI5, A7, divides, instance, oracle_family, random_instance, random_quiver, strand_multiset, without
 from qbfun import (
     Budget,
     DimVector,
@@ -17,6 +18,7 @@ from qbfun import (
     LinearForm,
     a_function,
     a_function_check,
+    apply_bernstein_multi,
     b_from_fset,
     b_multivariate,
     b_one_variable,
@@ -27,18 +29,16 @@ from qbfun import (
     exact_diagram,
     f_set,
     grad_log_check,
-    hom_ext_dims,
-    interval_rep,
     invariant_index,
     oracle_b_function,
     rank_parameter,
     restricted_invariant_shape,
     slice_representation,
-    strand_multiset,
     summand_ext,
 )
 from qbfun.errors import BudgetExceededError
 from qbfun.oracle import expand_invariant, grad_log_invariant, variable_table
+from reference import hom_ext_dims, interval_rep
 
 
 def one_var(constants: dict) -> FactoredBFunction:
@@ -272,7 +272,7 @@ def test_criterion_10_localization_divisibility():
         shape = restricted_invariant_shape(q, n, invariant_index(q, *slice_pq), invariant_index(q, *f_pq))
         local = shape.local_b()
         assert local == one_var(local_constants)
-        assert local.divides(b_multivariate(q, n).specialize_label(label))
+        assert divides(local, b_multivariate(q, n).specialize_label(label))
     print("PASS criterion 10: worked local b-functions reproduced and divide the specialized bracket product")
 
 
@@ -288,7 +288,7 @@ def test_criterion_11_minimality_property():
             assert evaluate_invariant(spec, diagram_to_matrices(q, n, d)) != 0
             for a in q.edges():
                 for pair in d.edge(a):
-                    shrunk = diagram_to_matrices(q, n, d.without(a, pair))
+                    shrunk = diagram_to_matrices(q, n, without(d, a, pair))
                     assert evaluate_invariant(spec, shrunk) == 0
                     removals += 1
     print(f"PASS criterion 11: every one of {removals} single-connection removals kills its invariant")
@@ -305,3 +305,34 @@ def test_criterion_12_positive_integer_constants():
                 assert isinstance(form.constant, int) and form.constant >= 1
                 checked += 1
     print(f"PASS criterion 12: all {checked} emitted factors have positive integer constants")
+
+
+def test_criterion_13_multivariate_box_of_shifts():
+    """The several-variable identity on a fixed sample of the box of shifts.
+
+    Every criterion-5 instance with k >= 2 invariants, at every shift in
+    {0,1,2}^k but 0 and (1,...,1): 2,140 points, of which a fixed sample of
+    300 runs through apply_bernstein_multi at the default budget.  Each
+    sampled point agrees with the bracket product or exceeds the budget;
+    none may disagree.  The over-budget count is pinned.
+    """
+    points = []
+    for q, n in oracle_family():
+        k = len(enumerate_invariants(q, n))
+        if k < 2:
+            continue
+        for m in product((0, 1, 2), repeat=k):
+            if set(m) not in ({0}, {1}):
+                points.append((q, n, m))
+    assert len(points) == 2140
+    agreed, over_budget = 0, []
+    for q, n, m in random.Random(2027).sample(points, 300):
+        try:
+            result = apply_bernstein_multi(q, n, m)
+        except BudgetExceededError:
+            over_budget.append((str(q), n.entries, m))
+            continue
+        assert result.ok, (str(q), n.entries, m)
+        agreed += 1
+    assert (agreed, len(over_budget)) == (255, 45), over_budget
+    print(f"PASS criterion 13: {agreed} sampled box shifts agree with the bracket product, {len(over_budget)} exceed the budget")

@@ -8,7 +8,6 @@ from qbfun import (
     DimVector,
     MatrixRep,
     block_spec,
-    character_exponents,
     enumerate_invariants,
     evaluate_invariant,
     fset_of_invariant,
@@ -22,6 +21,7 @@ from qbfun.diagrams import complete_diagram, diagram_to_matrices, exact_diagram
 from qbfun.errors import NotAnInvariantError, ShapeError
 from qbfun.invariants import _walk, act, block_structure
 from qbfun import linalg
+from reference import character_exponents
 
 A8 = ("1->2->3<-4->5->6<-7<-8", (1, 2, 2, 2, 3, 3, 3, 2))
 

@@ -1,0 +1,79 @@
+"""Every name of src/qbfun that no library module uses is listed, with why it stays.
+
+A top-level function or class, or a public method, counts as used when
+some module of src/qbfun other than __init__ refers to its name (a Name
+or an Attribute node).  Code that only the tests, the benchmark or the
+package's re-exports reach belongs in tests/ unless it has a reason here.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qbfun"
+
+# the names that no src/qbfun module refers to, each with its reason to stay
+ALLOWED = {
+    "bfun.AFunction.monomial": "the a-function's monomial at a shift, its public reading",
+    "bfun.FactoredBFunction.specialize_label": "the benchmark's engine cross-check calls it",
+    "diagrams.LaceDiagram.edge_counts": "the connections per edge, the diagram's degree bookkeeping",
+    "diagrams.arrow": "the one arrow layout, public: edge and constant to dots",
+    "diagrams.strands": "the strand decomposition; perfbench/tracing.py wraps it by name",
+    "invariants.MatrixRep.random": "random points of the prehomogeneous space",
+    "invariants.act": "the group action of the prehomogeneous space",
+    "invariants.is_invariant": "perfbench/tracing.py wraps it by name",
+    "invariants.nbar": "the paper's notation n-bar",
+    "jsonio.afun_from_json": "the documented JSON round trip",
+    "jsonio.bfun_from_json": "the documented JSON round trip; the benchmark's cross-checks decode with it",
+    "jsonio.diagram_from_json": "the documented JSON round trip",
+    "jsonio.fset_from_json": "the documented JSON round trip",
+    "jsonio.quiver_from_json": "the documented JSON round trip",
+    "jsonio.quiver_to_json": "the documented JSON round trip",
+    "jsonio.rank_from_json": "the documented JSON round trip; the benchmark's cross-checks decode with it",
+    "jsonio.slice_from_json": "the documented JSON round trip",
+    "linalg.rank": "perfbench/tracing.py wraps it by name",
+    "oracle.dual_invariant": "perfbench/tracing.py wraps it by name",
+    "poly.MultiPolynomial.eval_at": "the point-evaluation kernel (ROADMAP item 3) is to use it",
+    "poly.MultiPolynomial.exact_div": "perfbench/tracing.py wraps it by name",
+    "quiver.QuiverA.dual": "the reversed quiver, public",
+    "quiver.euler_form": "perfbench/tracing.py wraps it by name",
+    "ranks.SliceRep.slice_dimension": "the slice oracle (ROADMAP item 5) is to use it",
+    "ranks.restricted_invariant_shape": "perfbench/tracing.py wraps it by name",
+    "ranks.slice_representation": "perfbench/tracing.py wraps it by name",
+    "ranks.summand_ext": "perfbench/tracing.py wraps it by name",
+}
+
+
+def unused_names(src: Path) -> set[str]:
+    """module.name and module.Class.method for every definition that no module but __init__ names."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.stem != "__init__"}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in used:
+                found.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_") and method.name not in used:
+                        found.add(f"{module}.{node.name}.{method.name}")
+    return found
+
+
+def test_every_name_no_module_uses_has_a_reason():
+    assert unused_names(SRC) == set(ALLOWED)
+
+
+def test_the_scan_finds_a_name_only_the_tests_call(tmp_path):
+    """A helper that no module calls is found; once a module calls it, it is not."""
+    (tmp_path / "a.py").write_text("class K:\n    def m(self):\n        pass\n\n\ndef helper():\n    return K()\n")
+    assert unused_names(tmp_path) == {"a.helper", "a.K.m"}
+    (tmp_path / "b.py").write_text("from .a import helper\n\n\ndef run():\n    return helper().m()\n")
+    assert unused_names(tmp_path) == {"b.run"}

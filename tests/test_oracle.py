@@ -348,7 +348,8 @@ def test_dual_invariant_is_the_determinant_in_paired_variables():
     has the same (p, q) invariants, with the inverse characters; the oracle
     relies on all three facts and does not check them at run time.
     """
-    from qbfun.invariants import MatrixRep, assemble, block_spec, character_exponents, is_invariant
+    from qbfun.invariants import MatrixRep, assemble, block_spec, is_invariant
+    from reference import character_exponents
     from qbfun.oracle import poly_det
 
     rng = random.Random(61)
@@ -380,7 +381,7 @@ def test_dual_invariant_is_the_determinant_in_paired_variables():
 def test_grad_log_check_fails_on_the_wrong_diagram(monkeypatch):
     """The verdict compares the matrices: the empty diagram is not grad log f."""
     import qbfun.oracle
-    from qbfun.diagrams import empty_diagram
+    from conftest import empty_diagram
 
     q, n = instance("1->2->3", (1, 2, 1))
     idx = invariant_index(q, 1, 3)

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from conftest import random_quiver
-from qbfun import DimVector, Interval, dual, euler_form, interval_vector, parse_quiver, sinks_sources
+from qbfun import DimVector, Interval, euler_form, parse_quiver, sinks_sources
 from qbfun.errors import QuiverParseError, ShapeError
 from qbfun.invariants import _walk, block_structure
 from qbfun.quiver import LEFT, RIGHT, QuiverA, interval_euler_form
+from reference import interval_vector
 
 
 def test_parse_arrow_form():
@@ -63,20 +64,21 @@ def test_sinks_sources_alternate_and_are_stable():
         assert all(a < b for a, b in zip(nu, nu[1:]))
         interior = nu[1:-1]
         for v in interior:
-            assert q.is_sink(v) or q.is_source(v)
-        kinds = [q.is_sink(v) for v in interior]
+            assert v in q.turns and q.delta(v - 1) != q.delta(v)
+        # a sink's left edge points right, a source's left
+        kinds = [q.delta(v - 1) == RIGHT for v in interior]
         assert all(x != y for x, y in zip(kinds, kinds[1:]))
         assert sinks_sources(q) == nu
 
 
 def test_dual_flips_and_is_involutive():
-    assert dual(parse_quiver("R,R,R")).directions == (LEFT, LEFT, LEFT)
-    assert dual(parse_quiver("R,L")).directions == (LEFT, RIGHT)
+    assert parse_quiver("R,R,R").dual().directions == (LEFT, LEFT, LEFT)
+    assert parse_quiver("R,L").dual().directions == (LEFT, RIGHT)
     rng = random.Random(3)
     for _ in range(30):
         q = random_quiver(rng)
-        assert dual(dual(q)) == q
-        assert set(sinks_sources(q)) == set(sinks_sources(dual(q)))
+        assert q.dual().dual() == q
+        assert set(sinks_sources(q)) == set(sinks_sources(q.dual()))
 
 
 def test_euler_form_on_intervals():
@@ -192,8 +194,11 @@ def test_sinks_sources_matches_delta_reference():
             assert q.turns == set(inner)
             for v in range(0, q.r + 2):
                 interior = 1 < v < q.r
-                assert q.is_sink(v) == (interior and q.delta(v - 1) == RIGHT and q.delta(v) == LEFT)
-                assert q.is_source(v) == (interior and q.delta(v - 1) == LEFT and q.delta(v) == RIGHT)
+                # interior sinks and sources: the turns whose left edge points right, and left
+                is_sink = v in q.turns and q.delta(v - 1) == RIGHT
+                is_source = v in q.turns and q.delta(v - 1) == LEFT
+                assert is_sink == (interior and q.delta(v - 1) == RIGHT and q.delta(v) == LEFT)
+                assert is_source == (interior and q.delta(v - 1) == LEFT and q.delta(v) == RIGHT)
             for i in q.vertices():
                 for j in range(i + 1, q.r + 1):
                     assert block_structure(q, i, j).entries == _reference_entries(q, i, j), (str(q), i, j)

@@ -4,9 +4,8 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 
 import reference
-from conftest import ALT5, EQUI5, instance, random_instance, reference_chains
+from conftest import ALT5, EQUI5, empty_diagram, instance, random_instance, reference_chains
 from qbfun import a_function, b_multivariate, complete_diagram, enumerate_invariants, exact_diagram, invariant_index
-from qbfun.diagrams import empty_diagram
 from qbfun.render import (
     LabeledDiagram,
     _escape,
