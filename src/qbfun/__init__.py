@@ -17,7 +17,6 @@ from .invariants import (
     evaluate_invariant,
     invariant_index,
     is_invariant,
-    nbar,
 )
 from .diagrams import (
     LaceDiagram,

@@ -28,7 +28,6 @@ class LinearForm(Record):
             raise ShapeError("linear form needs non-negative coefficients and constant")
         setfield(self, "coeffs", coeffs)
         setfield(self, "constant", constant)
-        setfield(self, "_key", (coeffs, constant))
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -75,7 +74,6 @@ class FactoredBFunction(Record):
                 raise ShapeError("factors need multiplicity >= 1, constant >= 1, nonempty support")
         setfield(self, "num_labels", num_labels)
         setfield(self, "factors", factors)
-        setfield(self, "_key", (num_labels, factors))
 
     @classmethod
     def from_counter(cls, num_labels: int, counts: Counter) -> "FactoredBFunction":
@@ -162,7 +160,6 @@ class FSet(Record):
                 raise ShapeError(f"bad range {rng}")
         setfield(self, "r", r)
         setfield(self, "ranges", ranges)
-        setfield(self, "_key", (r, ranges))
 
     def column(self, k: int):
         """Range for column k (2 <= k <= r)."""
@@ -271,7 +268,6 @@ class AFunction(Record):
     def __init__(self, num_labels: int, factors: tuple):
         setfield(self, "num_labels", num_labels)
         setfield(self, "factors", factors)
-        setfield(self, "_key", (num_labels, factors))
 
     def monomial(self, m) -> tuple:
         """((form, exponent), ...) for integer bracket lengths m."""

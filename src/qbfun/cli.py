@@ -229,7 +229,7 @@ def _shifts(q, n, text):
 
 def _cmd_verify(args):
     q, n, idx = _instance(args)
-    budget = Budget.parse(args.budget) if args.budget is not None else Budget.from_env()
+    budget = Budget.parse(args.budget) if args.budget is not None else Budget()
     shifts = None if args.multi is None else _shifts(q, n, args.multi)
     targets = [idx] if idx is not None else enumerate_invariants(q, n)
     checks = []

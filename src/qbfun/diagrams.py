@@ -37,7 +37,6 @@ class LaceDiagram(Record):
                 right_seen.add(dr)
         setfield(self, "columns", columns)
         setfield(self, "connections", connections)
-        setfield(self, "_key", (columns, connections))
 
     @property
     def r(self) -> int:
@@ -129,7 +128,6 @@ class Strand(Record):
     def __init__(self, interval: Interval, dots: tuple[int, ...]):
         setfield(self, "interval", interval)
         setfield(self, "dots", dots)
-        setfield(self, "_key", (interval, dots))
 
 
 def _strand_sweep(d: LaceDiagram):

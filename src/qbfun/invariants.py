@@ -10,32 +10,26 @@ nonzero blocks are the path products along its monotone runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 from . import linalg
 from .errors import NotAnInvariantError, ShapeError
-from .quiver import RIGHT, DimVector, QuiverA, check_dims, sinks_sources
+from .quiver import RIGHT, DimVector, QuiverA, check_dims
 from .record import Record, setfield
 
 
 class InvariantIndex(Record, order=True):
-    """A pair 1 <= p < q <= r with its cached segment indices.
+    """A pair 1 <= p < q <= r: the label of an invariant, ordered by (p, q).
 
-    alpha and beta locate p and q in the sink/source sequence nu:
-    nu(alpha-1) <= p < nu(alpha) and nu(beta) < q <= nu(beta+1).
-    beta == alpha - 1 exactly when no sink or source lies strictly
-    between p and q.
+    The level walk from p (``_walk``) is the one description of the
+    columns between p and q; the index holds no second one.
     """
 
-    __slots__ = ("p", "q", "alpha", "beta")
+    __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int, alpha: int, beta: int):
+    def __init__(self, p: int, q: int):
         setfield(self, "p", p)
         setfield(self, "q", q)
-        setfield(self, "alpha", alpha)
-        setfield(self, "beta", beta)
-        setfield(self, "_key", (p, q, alpha, beta))
 
 
 def _check_pair(q: QuiverA, p: int, qq: int) -> None:
@@ -44,24 +38,9 @@ def _check_pair(q: QuiverA, p: int, qq: int) -> None:
 
 
 def invariant_index(q: QuiverA, p: int, qq: int) -> InvariantIndex:
-    """Build an InvariantIndex for (p, q), reading alpha and beta off the positions of p and q in nu."""
+    """Build the InvariantIndex (p, q) after checking 1 <= p < q <= r."""
     _check_pair(q, p, qq)
-    nu = sinks_sources(q)
-    return InvariantIndex(p, qq, bisect_right(nu, p), bisect_left(nu, qq) - 1)
-
-
-def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
-    """Alternating sum n_{nu(alpha+kappa)} - n_{nu(alpha+kappa-1)} + ... -/+ n_p.
-
-    kappa = -1 is the empty alternation and returns n_p; it is the value
-    in force when no sink or source separates p from q.  This is the
-    paper's notation; the engine reads the same values off the level walk.
-    """
-    if not -1 <= kappa <= idx.beta - idx.alpha:
-        raise ShapeError(f"kappa = {kappa} out of range -1..{idx.beta - idx.alpha}")
-    nu = sinks_sources(q)
-    vertices = (*nu[idx.alpha + kappa : idx.alpha - 1 : -1], idx.p)  # nu(alpha+kappa), ..., nu(alpha), p
-    return sum(n.at(v) * (-1) ** k for k, v in enumerate(vertices))
+    return InvariantIndex(p, qq)
 
 
 def _walk(q: QuiverA, n: DimVector, p: int):
@@ -130,15 +109,12 @@ class BlockMatrixSpec(Record):
     first) to give that block; absent pairs are zero blocks.
     """
 
-    __slots__ = ("lo", "hi", "row_blocks", "col_blocks", "entries")
+    __slots__ = ("row_blocks", "col_blocks", "entries")
 
-    def __init__(self, lo: int, hi: int, row_blocks: tuple[int, ...], col_blocks: tuple[int, ...], entries: dict):
-        setfield(self, "lo", lo)
-        setfield(self, "hi", hi)
+    def __init__(self, row_blocks: tuple[int, ...], col_blocks: tuple[int, ...], entries: dict):
         setfield(self, "row_blocks", row_blocks)
         setfield(self, "col_blocks", col_blocks)
         setfield(self, "entries", entries)
-        setfield(self, "_key", (lo, hi, row_blocks, col_blocks, entries))
 
     def row_dims(self, n: DimVector) -> tuple[int, ...]:
         return tuple(n.at(v) for v in self.row_blocks)
@@ -166,7 +142,7 @@ def block_structure(q: QuiverA, lo: int, hi: int) -> BlockMatrixSpec:
         else:
             entries[(start, end)] = tuple(range(start, end))
     sinks, sources = zip(*entries)
-    return BlockMatrixSpec(lo, hi, tuple(sorted(set(sinks))), tuple(sorted(set(sources))), entries)
+    return BlockMatrixSpec(tuple(sorted(set(sinks))), tuple(sorted(set(sources))), entries)
 
 
 def block_spec(q: QuiverA, n: DimVector, idx: InvariantIndex) -> BlockMatrixSpec:
@@ -192,7 +168,6 @@ class MatrixRep(Record):
             raise ShapeError("need one matrix per edge")
         setfield(self, "dims", dims)
         setfield(self, "matrices", matrices)
-        setfield(self, "_key", (dims, matrices))
 
     def matrix(self, a: int):
         return self.matrices[a - 1]

@@ -146,20 +146,14 @@ def _form_from_json(data: dict, num_labels: int) -> LinearForm:
 def bfun_to_json(b: FactoredBFunction) -> dict:
     """One dict per factor; with one label, every form has the coefficient of s1 and support m1."""
     if b.num_labels == 1:
+        # written out, not through _form_to_json: encoding every one-variable answer through it
+        # made the geometry benchmark about 5% and the engine benchmark about 2% slower
         factors = [
             {"coeffs": {"s1": form.coeffs[0]}, "constant": form.constant, "support": ["m1"], "multiplicity": mult}
             for form, mult in b.factors
         ]
     else:
-        factors = [
-            {
-                "coeffs": {f"s{i}": c for i, c in enumerate(form.coeffs, start=1) if c},
-                "constant": form.constant,
-                "support": [f"m{i}" for i, c in enumerate(form.coeffs, start=1) if c],
-                "multiplicity": mult,
-            }
-            for form, mult in b.factors
-        ]
+        factors = [dict(_form_to_json(form), multiplicity=mult) for form, mult in b.factors]
     return {"variables": b.num_labels, "factors": factors}
 
 

@@ -11,7 +11,6 @@ budgets.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -47,7 +46,6 @@ class Budget(Record):
         setfield(self, "invariant_terms", invariant_terms)
         setfield(self, "state_terms", state_terms)
         setfield(self, "matrix_size", matrix_size)
-        setfield(self, "_key", (invariant_terms, state_terms, matrix_size))
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
@@ -61,11 +59,6 @@ class Budget(Record):
         if len(parts) == 1:
             return cls(state_terms=parts[0])
         return cls(*parts)
-
-    @classmethod
-    def from_env(cls) -> "Budget":
-        text = os.environ.get("QBFUN_BUDGET")
-        return cls.parse(text) if text else cls()
 
 
 def variable_table(q: QuiverA, n: DimVector) -> VarTable:
@@ -239,7 +232,6 @@ class BernsteinResult(Record):
     def __init__(self, b: FactoredBFunction, constant: Fraction):
         setfield(self, "b", b)
         setfield(self, "constant", constant)
-        setfield(self, "_key", (b, constant))
 
 
 def _falling(m: int, k: int) -> tuple:
@@ -426,7 +418,6 @@ class MultiBernsteinResult(Record):
         setfield(self, "b", b)
         setfield(self, "engine", engine)
         setfield(self, "constant", constant)
-        setfield(self, "_key", (ok, b, engine, constant))
 
 
 def _s_variables(l: int) -> tuple[VarTable, list[MultiPolynomial]]:
@@ -534,7 +525,6 @@ class GradLogVerdict(Record):
         setfield(self, "ok", ok)
         setfield(self, "expected", expected)
         setfield(self, "actual", actual)
-        setfield(self, "_key", (ok, expected, actual))
 
 
 def grad_log_check(q, n, idx) -> GradLogVerdict:
@@ -550,7 +540,6 @@ class AFunctionVerdict(Record):
     def __init__(self, ok: bool, details: tuple):
         setfield(self, "ok", ok)
         setfield(self, "details", details)
-        setfield(self, "_key", (ok, details))
 
 
 def a_function_check(q, n) -> AFunctionVerdict:

@@ -19,12 +19,12 @@ RIGHT = 1
 LEFT = -1
 
 
-class QuiverA(Record):
+class QuiverA(Record, derived=("turns", "_rights")):
     """Orientation data of a type-A quiver with ``r`` vertices."""
 
-    # derived: turns (interior sinks and sources), _nu (sinks_sources's sequence) and
+    # derived: turns (interior sinks and sources) and
     # _rights ([k] = rightward edges among 1..k, k = 0..r-1)
-    __slots__ = ("r", "directions", "turns", "_nu", "_rights")
+    __slots__ = ("r", "directions", "turns", "_rights")
 
     def __init__(self, r: int, directions: tuple[int, ...]):
         if r < 1:
@@ -35,10 +35,8 @@ class QuiverA(Record):
             raise QuiverParseError("edge directions must be +1 (right) or -1 (left)")
         setfield(self, "r", r)
         setfield(self, "directions", directions)
-        setfield(self, "_key", (r, directions))
         turns = frozenset(v for v in range(2, r) if directions[v - 2] != directions[v - 1])
         setfield(self, "turns", turns)
-        setfield(self, "_nu", tuple(sorted(turns | {1, r})))
         setfield(self, "_rights", (0, *accumulate(d == RIGHT for d in directions)))
 
     def delta(self, a: int) -> int:
@@ -104,7 +102,6 @@ class DimVector(Record):
         if any(not isinstance(n, int) or n < 1 for n in entries):
             raise QuiverParseError("dimension vector entries must be integers >= 1")
         setfield(self, "entries", entries)
-        setfield(self, "_key", (entries,))
 
     @classmethod
     def parse(cls, text: str) -> "DimVector":
@@ -137,7 +134,6 @@ class Interval(Record, order=True):
             raise QuiverParseError(f"bad interval [{i}, {j}]")
         setfield(self, "i", i)
         setfield(self, "j", j)
-        setfield(self, "_key", (i, j))
 
     def __contains__(self, v: int) -> bool:
         return self.i <= v <= self.j
@@ -157,7 +153,7 @@ def sinks_sources(q: QuiverA) -> tuple[int, ...]:
     Interior entries are exactly the sinks and sources of the quiver;
     the two endpoints are always included.
     """
-    return q._nu
+    return tuple(sorted(q.turns | {1, q.r}))
 
 
 def _entry_seq(n, r: int):

@@ -27,7 +27,6 @@ class RankParameter(Record):
 
     def __init__(self, rows: tuple):
         setfield(self, "rows", rows)
-        setfield(self, "_key", (rows,))
 
     @property
     def r(self) -> int:
@@ -181,7 +180,6 @@ class SliceRep(Record):
     def __init__(self, vertices: tuple, arrows: dict):
         setfield(self, "vertices", vertices)
         setfield(self, "arrows", arrows)
-        setfield(self, "_key", (vertices, arrows))
 
     def group_factors(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.vertices)
@@ -208,7 +206,6 @@ class NormalSlice(Record):
         setfield(self, "diagram", diagram)
         setfield(self, "where", where)
         setfield(self, "rep", rep)
-        setfield(self, "_key", (index, diagram, where, rep))
 
 
 def normal_slice(q: QuiverA, n: DimVector, idx: InvariantIndex) -> NormalSlice:
@@ -278,7 +275,6 @@ class RestrictedInvariant(Record):
         setfield(self, "dims", dims)
         setfield(self, "index", index)
         setfield(self, "path", path)
-        setfield(self, "_key", (constant, quiver, dims, index, path))
 
     def local_b(self) -> FactoredBFunction | None:
         """b_one_variable of the local invariant."""

@@ -1,16 +1,21 @@
 """Immutable value records: the base of qbfun's value types.
 
 A record lists its fields in ``__slots__`` and sets each of them once in
-a straight-line ``__init__``, together with ``_key``, the tuple of all
-its fields in constructor order.  Slots after the fields hold values
-derived from them; they are not in the key, and the repr leaves them
-out.  Equality and hashing go through the key, so a record hashes like
-the tuple of its fields.  Only a class declared with ``order=True``
-compares by ``<`` and friends, and only with records of its own class.
-A record pickles and copies as its class called on its key.
+a straight-line ``__init__``.  Its key, ``_key``, is the tuple of those
+fields in slot order, read off the instance; this module is the one
+place that builds it.  A class names in its class statement the slots
+that hold values derived from its fields (``derived=(...)``); they are
+not in the key, and the repr leaves them out.  A subclass that declares
+no slots of its own keeps its parent's fields.  Equality and hashing go
+through the key, so a record hashes like the tuple of its fields.  Only
+a class declared with ``order=True`` compares by ``<`` and friends, and
+only with records of its own class.  A record pickles and copies as its
+class called on its key.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 # object.__setattr__ under a module-level name: a record's __init__ sets each
 # field with it, past Record.__setattr__.  A plain global is one lookup, where
@@ -19,10 +24,18 @@ setfield = object.__setattr__
 
 
 class Record:
-    __slots__ = ("_key",)
+    __slots__ = ()
 
-    def __init_subclass__(cls, order=False, **kwargs):
+    def __init_subclass__(cls, order=False, derived=(), **kwargs):
         super().__init_subclass__(**kwargs)
+        fields = tuple(name for name in cls.__dict__.get("__slots__", ()) if name not in derived)
+        if fields:
+            cls._fields = fields
+            if len(fields) == 1:
+                get = attrgetter(fields[0])
+                cls._key = property(lambda self: (get(self),))
+            else:
+                cls._key = property(attrgetter(*fields))
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _lt, _le, _gt, _ge
 
@@ -35,7 +48,7 @@ class Record:
         return hash(self._key)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

@@ -31,7 +31,6 @@ class LabeledDiagram(Record):
         setfield(self, "quiver", quiver)
         setfield(self, "diagram", diagram)
         setfield(self, "labels", labels)
-        setfield(self, "_key", (quiver, diagram, labels))
 
 
 def column_offsets(q: QuiverA, columns) -> tuple[int, ...]:

@@ -23,13 +23,15 @@ The last functions here left the library because only the tests called
 them, and they are kept with the same bodies: the members of an F-set
 column, the 0/1 interval vectors and interval representations, the
 (Hom, Ext) dimensions as kernel and cokernel of the difference map (the
-independent side of the slice-dimension identity), and the character
-exponents of an invariant.
+independent side of the slice-dimension identity), the character
+exponents of an invariant, and the paper's alternating sums ``nbar``,
+which read the segment indices alpha and beta off ``segment_indices``.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 from qbfun import linalg
@@ -40,7 +42,7 @@ from qbfun.errors import DiagnosticError, ShapeError
 from qbfun.invariants import InvariantIndex, MatrixRep, block_structure, check_invariant
 from qbfun.jsonio import _form_to_json
 from qbfun.poly import MultiPolynomial, VarTable
-from qbfun.quiver import RIGHT, DimVector, Interval, QuiverA, check_dims
+from qbfun.quiver import RIGHT, DimVector, Interval, QuiverA, check_dims, sinks_sources
 from qbfun.record import setfield
 from qbfun.render import LabeledDiagram
 
@@ -214,7 +216,6 @@ class PairwiseLaceDiagram(LaceDiagram):
                 right_seen.add(dr)
         setfield(self, "columns", columns)
         setfield(self, "connections", connections)
-        setfield(self, "_key", (columns, connections))
 
 
 def arrow(q: QuiverA, n: DimVector, a: int, c: int) -> tuple[int, int]:
@@ -361,3 +362,29 @@ def character_exponents(q: QuiverA, n: DimVector, idx: InvariantIndex) -> tuple[
     for v in spec.col_blocks:
         sigma[v - 1] = -1
     return tuple(sigma)
+
+
+def segment_indices(q: QuiverA, idx: InvariantIndex) -> tuple[int, int]:
+    """The paper's segment indices (alpha, beta) of (p, q): the positions of p and q in nu.
+
+    With nu the sink/source sequence, nu(alpha-1) <= p < nu(alpha) and
+    nu(beta) < q <= nu(beta+1).  beta == alpha - 1 exactly when no sink
+    or source lies strictly between p and q.
+    """
+    nu = sinks_sources(q)
+    return bisect_right(nu, idx.p), bisect_left(nu, idx.q) - 1
+
+
+def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
+    """Alternating sum n_{nu(alpha+kappa)} - n_{nu(alpha+kappa-1)} + ... -/+ n_p.
+
+    kappa = -1 is the empty alternation and returns n_p; it is the value
+    in force when no sink or source separates p from q.  This is the
+    paper's notation; the engine reads the same values off the level walk.
+    """
+    alpha, beta = segment_indices(q, idx)
+    if not -1 <= kappa <= beta - alpha:
+        raise ShapeError(f"kappa = {kappa} out of range -1..{beta - alpha}")
+    nu = sinks_sources(q)
+    vertices = (*nu[alpha + kappa : alpha - 1 : -1], idx.p)  # nu(alpha+kappa), ..., nu(alpha), p
+    return sum(n.at(v) * (-1) ** k for k, v in enumerate(vertices))

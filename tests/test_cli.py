@@ -195,13 +195,10 @@ def test_exit_code_dims_wrong_length(capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-def test_exit_code_bad_budget(monkeypatch, capsys):
+def test_exit_code_bad_budget(capsys):
     for budget in ("-5", "0,0,0", "abc", "1,2,3,4"):
         assert cli_main(["verify", "--quiver", "1->2", "--dims", "1,1", "--budget", budget]) == 2
         assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.setenv("QBFUN_BUDGET", "-5")
-    assert cli_main(["verify", "--quiver", "1->2", "--dims", "1,1"]) == 2
-    capsys.readouterr()
 
 
 def test_exit_code_oracle_identity_failure(monkeypatch, capsys):
@@ -294,9 +291,8 @@ def test_exit_code_multi_that_does_not_fit(capsys):
         assert captured.out == "" and _one_error_line(captured.err), shifts
 
 
-def test_exit_code_empty_budget_is_an_input_error(monkeypatch, capsys):
-    """An empty --budget is parsed, not replaced by QBFUN_BUDGET."""
-    monkeypatch.setenv("QBFUN_BUDGET", "1")
+def test_exit_code_empty_budget_is_an_input_error(capsys):
+    """An empty --budget is parsed, not replaced by the default budget."""
     code = cli_main(["verify", "--quiver", "1->2->3->4", "--dims", "1,2,2,1", "--budget", ""])
     captured = capsys.readouterr()
     assert code == 2
@@ -430,13 +426,12 @@ def _mutated(rng, argv):
     return argv
 
 
-def test_mutated_requests_exit_with_a_documented_code(monkeypatch, capsys):
+def test_mutated_requests_exit_with_a_documented_code(capsys):
     """Seeded junk in --quiver, --dims, --pq, --budget and --multi of every subcommand.
 
     Each request exits 0-4 (5 needs --out, which is not fuzzed), prints no
     traceback, and prints exactly one error: line whenever it fails.
     """
-    monkeypatch.delenv("QBFUN_BUDGET", raising=False)
     rng = random.Random(20261019)
     codes = Counter()
     for _ in range(400):
@@ -473,7 +468,6 @@ def test_direct_dispatch_answers_like_parse_args(monkeypatch, capsys):
     --opt=value forms, an abbreviated option and an option before the command.
     """
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("QBFUN_BUDGET", raising=False)
     rng = random.Random(20261019)
     argvs = [_mutated(rng, _valid_argv(rng)) for _ in range(400)]
     request = ["--quiver", "1->2", "--dims", "2,2", "--pq", "1,2"]

@@ -13,7 +13,6 @@ from qbfun import (
     fset_of_invariant,
     invariant_index,
     is_invariant,
-    nbar,
     parse_quiver,
     sinks_sources,
 )
@@ -21,7 +20,7 @@ from qbfun.diagrams import complete_diagram, diagram_to_matrices, exact_diagram
 from qbfun.errors import NotAnInvariantError, ShapeError
 from qbfun.invariants import _walk, act, block_structure
 from qbfun import linalg
-from reference import character_exponents
+from reference import character_exponents, nbar, segment_indices
 
 A8 = ("1->2->3<-4->5->6<-7<-8", (1, 2, 2, 2, 3, 3, 3, 2))
 
@@ -33,10 +32,10 @@ def pairs(invs):
 def test_alpha_beta_indices():
     q, _ = instance(*A8)
     idx = invariant_index(q, 1, 8)
-    assert (idx.alpha, idx.beta) == (1, 3)
+    assert segment_indices(q, idx) == (1, 3)
     qe, _ = instance(*EQUI5)
-    idx = invariant_index(qe, 3, 4)
-    assert idx.beta == idx.alpha - 1
+    alpha, beta = segment_indices(qe, invariant_index(qe, 3, 4))
+    assert beta == alpha - 1
 
 
 def test_nbar_values():
@@ -45,14 +44,16 @@ def test_nbar_values():
     assert nbar(q, n, idx, 0) == n.at(3) - n.at(1)
     assert nbar(q, n, idx, 1) == n.at(4) - n.at(3) + n.at(1)
     assert nbar(q, n, idx, -1) == n.at(1)
+    alpha, beta = segment_indices(q, idx)
     with pytest.raises(ShapeError):
-        nbar(q, n, idx, idx.beta - idx.alpha + 1)
+        nbar(q, n, idx, beta - alpha + 1)
 
 
 def test_nbar_degenerate_is_np():
     q, n = instance(*EQUI5)
     idx = invariant_index(q, 1, 5)
-    assert idx.beta - idx.alpha == -1
+    alpha, beta = segment_indices(q, idx)
+    assert beta - alpha == -1
     assert nbar(q, n, idx, -1) == n.at(1)
 
 
@@ -206,23 +207,25 @@ def paper_index_conditions(q, n, p, qq):
     """The paper's four index conditions for (p, q), in its alpha/beta/nbar notation."""
     idx = invariant_index(q, p, qq)
     nu = sinks_sources(q)
-    if idx.beta == idx.alpha - 1:
+    alpha, beta = segment_indices(q, idx)
+    if beta == alpha - 1:
         return all(n.at(t) > n.at(p) for t in range(p + 1, qq)) and n.at(qq) == n.at(p)
-    if any(n.at(t) <= n.at(p) for t in range(p + 1, nu[idx.alpha] + 1)):
+    if any(n.at(t) <= n.at(p) for t in range(p + 1, nu[alpha] + 1)):
         return False
-    for kappa in range(idx.beta - idx.alpha):
+    for kappa in range(beta - alpha):
         level = nbar(q, n, idx, kappa)
-        if any(n.at(t) <= level for t in range(nu[idx.alpha + kappa] + 1, nu[idx.alpha + kappa + 1] + 1)):
+        if any(n.at(t) <= level for t in range(nu[alpha + kappa] + 1, nu[alpha + kappa + 1] + 1)):
             return False
-    level = nbar(q, n, idx, idx.beta - idx.alpha)
-    return all(n.at(t) > level for t in range(nu[idx.beta] + 1, qq)) and n.at(qq) == level
+    level = nbar(q, n, idx, beta - alpha)
+    return all(n.at(t) > level for t in range(nu[beta] + 1, qq)) and n.at(qq) == level
 
 
 def segment_columns(q, idx, kappa):
     """Columns whose level is nbar(kappa): segment kappa of the sink/source sequence between p and q."""
     nu = sinks_sources(q)
-    start = idx.p + 1 if kappa == -1 else nu[idx.alpha + kappa] + 1
-    end = idx.q if kappa == idx.beta - idx.alpha else nu[idx.alpha + kappa + 1]
+    alpha, beta = segment_indices(q, idx)
+    start = idx.p + 1 if kappa == -1 else nu[alpha + kappa] + 1
+    end = idx.q if kappa == beta - alpha else nu[alpha + kappa + 1]
     return range(start, end + 1)
 
 
@@ -240,7 +243,8 @@ def test_walk_matches_paper_index_conditions():
         for idx in enumerate_invariants(q, n):
             level = dict(_walk(q, n, idx.p))
             assert sorted(level) == list(range(idx.p + 1, idx.q + 1))
-            for kappa in range(-1, idx.beta - idx.alpha + 1):
+            alpha, beta = segment_indices(q, idx)
+            for kappa in range(-1, beta - alpha + 1):
                 for t in segment_columns(q, idx, kappa):
                     assert level[t] == nbar(q, n, idx, kappa)
             found += 1

@@ -1,9 +1,12 @@
-"""Every name of src/qbfun that no library module uses is listed, with why it stays.
+"""Every name and record field of src/qbfun that no library module uses is listed, with why it stays.
 
-A top-level function or class, or a public method, counts as used when
-some module of src/qbfun other than __init__ refers to its name (a Name
-or an Attribute node).  Code that only the tests, the benchmark or the
-package's re-exports reach belongs in tests/ unless it has a reason here.
+A top-level function or class counts as used when some module of
+src/qbfun other than __init__ refers to its name (a Name or an
+Attribute node).  A public method, or a slot of a record, counts as
+used only when some such module reads it as an attribute (``x.name``),
+so a local variable of the same name does not hide it.  Code that only
+the tests, the benchmark or the package's re-exports reach belongs in
+tests/ unless it has a reason here.
 """
 
 import ast
@@ -14,6 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qbfun"
 # the names that no src/qbfun module refers to, each with its reason to stay
 ALLOWED = {
     "bfun.AFunction.monomial": "the a-function's monomial at a shift, its public reading",
+    "bfun.FactoredBFunction.constants": "the one-variable reading, the inverse of `one_variable`",
+    "bfun.FactoredBFunction.degree": "deg b = deg f, a public reading",
     "bfun.FactoredBFunction.specialize_label": "the benchmark's engine cross-check calls it",
     "diagrams.LaceDiagram.edge_counts": "the connections per edge, the diagram's degree bookkeeping",
     "diagrams.arrow": "the one arrow layout, public: edge and constant to dots",
@@ -21,7 +26,6 @@ ALLOWED = {
     "invariants.MatrixRep.random": "random points of the prehomogeneous space",
     "invariants.act": "the group action of the prehomogeneous space",
     "invariants.is_invariant": "perfbench/tracing.py wraps it by name",
-    "invariants.nbar": "the paper's notation n-bar",
     "jsonio.afun_from_json": "the documented JSON round trip",
     "jsonio.bfun_from_json": "the documented JSON round trip; the benchmark's cross-checks decode with it",
     "jsonio.diagram_from_json": "the documented JSON round trip",
@@ -36,6 +40,7 @@ ALLOWED = {
     "poly.MultiPolynomial.exact_div": "perfbench/tracing.py wraps it by name",
     "quiver.QuiverA.dual": "the reversed quiver, public",
     "quiver.euler_form": "perfbench/tracing.py wraps it by name",
+    "quiver.sinks_sources": "perfbench/tracing.py wraps it by name; it is computed on call, not stored",
     "ranks.SliceRep.slice_dimension": "the slice oracle (ROADMAP item 5) is to use it",
     "ranks.restricted_invariant_shape": "perfbench/tracing.py wraps it by name",
     "ranks.slice_representation": "perfbench/tracing.py wraps it by name",
@@ -43,16 +48,34 @@ ALLOWED = {
 }
 
 
-def unused_names(src: Path) -> set[str]:
-    """module.name and module.Class.method for every definition that no module but __init__ names."""
+# the record fields that no src/qbfun module reads, each with its reason to stay
+UNREAD_FIELDS = {
+    "diagrams.Strand.dots": "a strand's dot in each of its columns, the public reading of `strands`",
+    "diagrams.Strand.interval": "a strand's interval, the public reading of `strands`",
+    "oracle.AFunctionVerdict.details": "the (label, matches) pairs behind `ok`, to diagnose a failure",
+    "oracle.GradLogVerdict.expected": "the exact diagram's matrices that `ok` compared, to diagnose a failure",
+    "oracle.MultiBernsteinResult.engine": "the engine's product that `ok` compared, to diagnose a failure",
+    "ranks.RestrictedInvariant.path": "the local vertices in path order, for the slice oracle (ROADMAP item 5)",
+}
+
+
+def _scan(src: Path):
+    """Each module's tree but __init__'s, the names they refer to, and the attributes they read."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.stem != "__init__"}
-    used = set()
+    names, read = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return trees, names, read
+
+
+def unused_names(src: Path) -> set[str]:
+    """module.name and module.Class.method for every definition that no module but __init__ uses."""
+    trees, names, read = _scan(src)
+    used = names | read
     found = set()
     for module, tree in trees.items():
         for node in tree.body:
@@ -62,8 +85,23 @@ def unused_names(src: Path) -> set[str]:
                 found.add(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
                 for method in node.body:
-                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_") and method.name not in used:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_") and method.name not in read:
                         found.add(f"{module}.{node.name}.{method.name}")
+    return found
+
+
+def unread_fields(src: Path) -> set[str]:
+    """module.Record.slot for every slot of a Record subclass that no module but __init__ reads."""
+    trees, _, read = _scan(src)
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or not any(getattr(b, "id", None) == "Record" for b in node.bases):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                    slots = ast.literal_eval(stmt.value)
+                    found.update(f"{module}.{node.name}.{slot}" for slot in slots if slot not in read)
     return found
 
 
@@ -71,9 +109,22 @@ def test_every_name_no_module_uses_has_a_reason():
     assert unused_names(SRC) == set(ALLOWED)
 
 
+def test_every_record_field_no_module_reads_has_a_reason():
+    assert unread_fields(SRC) == set(UNREAD_FIELDS)
+
+
 def test_the_scan_finds_a_name_only_the_tests_call(tmp_path):
-    """A helper that no module calls is found; once a module calls it, it is not."""
+    """A helper that no module calls is found; once a module calls it, it is not.
+
+    A record field is found until a module reads it as an attribute; a
+    local variable of the same name does not count as a read.
+    """
     (tmp_path / "a.py").write_text("class K:\n    def m(self):\n        pass\n\n\ndef helper():\n    return K()\n")
     assert unused_names(tmp_path) == {"a.helper", "a.K.m"}
     (tmp_path / "b.py").write_text("from .a import helper\n\n\ndef run():\n    return helper().m()\n")
     assert unused_names(tmp_path) == {"b.run"}
+    (tmp_path / "c.py").write_text(
+        "from .record import Record\n\n\nclass R(Record):\n    __slots__ = ('x', 'y')\n\n\n"
+        "def first(r):\n    y = r.x\n    return y\n"
+    )
+    assert unread_fields(tmp_path) == {"c.R.y"}

@@ -249,13 +249,10 @@ def test_budget_parsing():
     assert Budget.parse("100,900,4") == Budget(100, 900, 4)
 
 
-def test_budget_parsing_rejects_non_positive_and_junk(monkeypatch):
+def test_budget_parsing_rejects_non_positive_and_junk():
     for text in ("-5", "0,0,0", "100,0", "abc", "1,2,3,4", ""):
         with pytest.raises(QuiverParseError):
             Budget.parse(text)
-    monkeypatch.setenv("QBFUN_BUDGET", "0")
-    with pytest.raises(QuiverParseError):
-        Budget.from_env()
 
 
 def test_generic_point_degree_equals_oracle_degree():
@@ -528,7 +525,7 @@ def test_state_terms_count_the_layers_with_s_expanded(text, dims, pq, actual):
         ("1->2->3->4->5->6->7->8", (3, 6, 8, 8, 8, 8, 6, 3), (1, 8), "entry terms"),
     ],
 )
-def test_expansion_budget_stops_while_the_determinant_is_built(text, dims, pq, what, monkeypatch, capsys):
+def test_expansion_budget_stops_while_the_determinant_is_built(text, dims, pq, what, capsys):
     """An invariant far past the budgets exits 4 while its expansion is built, not after.
 
     Each of these has 40,320 to over 10^8 terms; building all of them took
@@ -539,7 +536,6 @@ def test_expansion_budget_stops_while_the_determinant_is_built(text, dims, pq, w
     """
     from qbfun.cli import cli_main
 
-    monkeypatch.delenv("QBFUN_BUDGET", raising=False)
     argv = ["verify", "--quiver", text, "--dims", ",".join(map(str, dims)), "--pq", "{},{}".format(*pq)]
     start = perf_counter()
     assert cli_main(argv) == 4

@@ -5,9 +5,13 @@ field names in constructor order.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
+
+import qbfun
 
 from conftest import ALT5, EQUI5, instance
 from qbfun import (
@@ -31,6 +35,8 @@ from qbfun import (
     strands,
 )
 from qbfun.oracle import a_function_check, apply_bernstein_multi, grad_log_check, oracle_b_function
+from qbfun.ranks import normal_slice
+from qbfun.record import Record
 from qbfun.render import LabeledDiagram, superposed_diagram
 
 
@@ -46,10 +52,10 @@ def _examples():
         "QuiverA": (alt_q, ("r", "directions")),
         "DimVector": (alt_n, ("entries",)),
         "Interval": (Interval(2, 4), ("i", "j")),
-        "InvariantIndex": (idx, ("p", "q", "alpha", "beta")),
+        "InvariantIndex": (idx, ("p", "q")),
         "BlockMatrixSpec": (
             block_spec(alt_q, alt_n, invariant_index(alt_q, 1, 4)),
-            ("lo", "hi", "row_blocks", "col_blocks", "entries"),
+            ("row_blocks", "col_blocks", "entries"),
         ),
         "MatrixRep": (rep, ("dims", "matrices")),
         "LaceDiagram": (d, ("columns", "connections")),
@@ -60,6 +66,7 @@ def _examples():
         "AFunction": (a_function(q, n), ("num_labels", "factors")),
         "RankParameter": (rank_parameter(q, n, rep), ("rows",)),
         "SliceRep": (slice_representation(q, n, idx), ("vertices", "arrows")),
+        "NormalSlice": (normal_slice(q, n, idx), ("index", "diagram", "where", "rep")),
         "RestrictedInvariant": (
             restricted_invariant_shape(q, n, idx, invariant_index(q, 1, 5)),
             ("constant", "quiver", "dims", "index", "path"),
@@ -76,9 +83,9 @@ def _examples():
 EXAMPLES = _examples()
 NAMES = sorted(EXAMPLES)
 
-# records holding a dict, or a polynomial (equal only over one variable table),
-# hash like their field tuple: not at all
-UNHASHABLE = {"BlockMatrixSpec", "SliceRep", "LabeledDiagram", "MultiBernsteinResult"}
+# records holding a dict, a list, or a polynomial (equal only over one variable
+# table), hash like their field tuple: not at all
+UNHASHABLE = {"BlockMatrixSpec", "SliceRep", "NormalSlice", "LabeledDiagram", "MultiBernsteinResult"}
 
 
 def fields(x):
@@ -90,6 +97,18 @@ def test_every_example_is_its_named_class():
         x, _ = EXAMPLES[name]
         assert type(x).__name__ == name
         assert type(x).__module__.startswith("qbfun.")
+
+
+def test_examples_name_every_record_class_of_the_library():
+    """A new record type cannot skip this suite."""
+    defined = set()
+    for info in pkgutil.iter_modules(qbfun.__path__):
+        module = importlib.import_module(f"qbfun.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, Record) and value.__module__ == module.__name__:
+                defined.add(value.__name__)
+    defined.discard("Record")
+    assert defined == set(EXAMPLES)
 
 
 @pytest.mark.parametrize("name", NAMES)
