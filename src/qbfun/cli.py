@@ -10,9 +10,10 @@ be written.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .bfun import a_function, b_multivariate, b_one_variable, f_set
 from .diagrams import complete_diagram, diagram_to_matrices, exact_diagram
@@ -49,57 +50,123 @@ from .ranks import normal_slice, rank_parameter, restrict
 from .render import LabeledDiagram, render_ascii, render_svg, superposed_diagram, labeled_exact_diagram
 
 
-def _add_common(sub, formats=True):
-    sub.add_argument("--quiver", required=True, help="orientation, e.g. '1->2<-3' or 'R,L'")
-    sub.add_argument("--dims", required=True, help="dimension vector, e.g. '2,5,6,6,2'")
-    if formats:
-        sub.add_argument("--format", choices=("json", "text"), default="json")
+class Option(namedtuple("Option", "name dest help required choices default flag group")):
+    """One option of a subcommand: a flag stores True, any other option takes one value.
+
+    dest is the field it sets, named as argparse names it.  An option with
+    choices takes one of them; a group member belongs to its subcommand's
+    one mutually exclusive group, of which exactly one member must be given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, help=None, required=False, choices=None, default=None, flag=False, group=False):
+        dest = name[2:].replace("-", "_")
+        return super().__new__(cls, name, dest, help, required, choices, default, flag, group)
+
+
+_QUIVER = Option("--quiver", "orientation, e.g. '1->2<-3' or 'R,L'", required=True)
+_DIMS = Option("--dims", "dimension vector, e.g. '2,5,6,6,2'", required=True)
+_FORMAT = Option("--format", choices=("json", "text"), default="json")
+
+# Each subcommand's help and options, in the order its help lists them: the
+# one statement of the command-line syntax, which build_parser and _read_argv both read.
+_OPTIONS = {
+    "invariants": ("enumerate the invariant index pairs", (_QUIVER, _DIMS, _FORMAT)),
+    "bfun": (
+        "one-variable b-function of one invariant",
+        (_QUIVER, _DIMS, _FORMAT, Option("--pq", "invariant pair, e.g. '1,5'", required=True)),
+    ),
+    "bfun-multi": ("several-variable b-function", (_QUIVER, _DIMS, _FORMAT)),
+    "afun": ("a-function monomial", (_QUIVER, _DIMS, _FORMAT)),
+    "diagram": (
+        "lace diagrams (json, ascii, or svg)",
+        (
+            _QUIVER,
+            _DIMS,  # no --format: --render is its one output switch
+            Option("--pq", "exact diagram of this invariant", group=True),
+            Option("--complete", "complete diagram", flag=True, group=True),
+            Option("--superposed", "labeled superposition of all exact diagrams", flag=True, group=True),
+            Option("--render", choices=("json", "ascii", "svg"), default="json"),
+            Option("--out", "write output to this path (required sink for svg files)"),
+        ),
+    ),
+    "ranks": ("rank parameter and F-set of an invariant's orbit", (_QUIVER, _DIMS, _FORMAT, Option("--pq", required=True))),
+    "slice": ("slice representation and restricted invariants", (_QUIVER, _DIMS, _FORMAT, Option("--pq", required=True))),
+    "verify": (
+        "run the symbolic oracle against the engine",
+        (
+            _QUIVER,
+            _DIMS,
+            _FORMAT,
+            Option("--pq", "restrict to one invariant"),
+            Option("--budget", "term budgets, e.g. '200,20000' or '200,20000,6'"),
+            Option("--multi", "also check the several-variable identity at these shifts, e.g. '1,0'"),
+            Option("--grad", "also check grad-log against exact diagrams", flag=True),
+            Option("--afun", "also check the a-function symbolically", flag=True),
+        ),
+    ),
+}
 
 
 @functools.cache  # one parser per process: parse_args leaves no state on it
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse  # only an argv that _read_argv leaves over needs it
+
     parser = argparse.ArgumentParser(prog="qbfun")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("invariants", help="enumerate the invariant index pairs")
-    _add_common(sub)
-
-    sub = subs.add_parser("bfun", help="one-variable b-function of one invariant")
-    _add_common(sub)
-    sub.add_argument("--pq", required=True, help="invariant pair, e.g. '1,5'")
-
-    sub = subs.add_parser("bfun-multi", help="several-variable b-function")
-    _add_common(sub)
-
-    sub = subs.add_parser("afun", help="a-function monomial")
-    _add_common(sub)
-
-    sub = subs.add_parser("diagram", help="lace diagrams (json, ascii, or svg)")
-    _add_common(sub, formats=False)  # --render is its one output switch
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pq", help="exact diagram of this invariant")
-    group.add_argument("--complete", action="store_true", help="complete diagram")
-    group.add_argument("--superposed", action="store_true", help="labeled superposition of all exact diagrams")
-    sub.add_argument("--render", choices=("json", "ascii", "svg"), default="json")
-    sub.add_argument("--out", help="write output to this path (required sink for svg files)")
-
-    sub = subs.add_parser("ranks", help="rank parameter and F-set of an invariant's orbit")
-    _add_common(sub)
-    sub.add_argument("--pq", required=True)
-
-    sub = subs.add_parser("slice", help="slice representation and restricted invariants")
-    _add_common(sub)
-    sub.add_argument("--pq", required=True)
-
-    sub = subs.add_parser("verify", help="run the symbolic oracle against the engine")
-    _add_common(sub)
-    sub.add_argument("--pq", help="restrict to one invariant")
-    sub.add_argument("--budget", help="term budgets, e.g. '200,20000' or '200,20000,6'")
-    sub.add_argument("--multi", help="also check the several-variable identity at these shifts, e.g. '1,0'")
-    sub.add_argument("--grad", action="store_true", help="also check grad-log against exact diagrams")
-    sub.add_argument("--afun", action="store_true", help="also check the a-function symbolically")
+    for command, (help_text, options) in _OPTIONS.items():
+        sub = subs.add_parser(command, help=help_text)
+        group = sub.add_mutually_exclusive_group(required=True) if any(o.group for o in options) else None
+        for o in options:
+            kind = {"action": "store_true"} if o.flag else {"choices": o.choices, "default": o.default}
+            (group if o.group else sub).add_argument(o.name, required=o.required, help=o.help, **kind)
     parser.commands = subs.choices  # name -> subcommand parser, for cli_main's direct dispatch
     return parser
+
+
+# command -> option string -> Option, for _read_argv
+_BY_NAME = {command: {o.name: o for o in options} for command, (_, options) in _OPTIONS.items()}
+
+
+def _read_argv(argv):
+    """The arguments of a well-formed argv, read off _OPTIONS; None leaves argv to argparse.
+
+    Well formed: a known command, then options of that command, each at
+    most once and by its exact option string; every option but a flag is
+    followed by a value that does not start with "-" and is among its
+    choices; every required option is there, and one member of the group.
+    argparse reads such an argv to the same fields.  Every other argv goes
+    to argparse, the one source of help and of every parse-error message.
+    """
+    options = _BY_NAME.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        o = options.get(token)
+        if o is None or token in given:
+            return None
+        if o.flag:
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads like an option
+        if value.startswith("-") or (o.choices is not None and value not in o.choices):
+            return None
+        given[token] = value
+    fields = {"command": argv[0]}
+    members = chosen = 0
+    for name, o in options.items():
+        if o.group:
+            members += 1
+            chosen += name in given
+        elif o.required and name not in given:
+            return None
+        fields[o.dest] = given.get(name, False if o.flag else o.default)
+    if members and chosen != 1:
+        return None
+    return SimpleNamespace(**fields)
 
 
 # Largest sum of --dims.  It bounds the vertices, the dots of a diagram and
@@ -290,22 +357,24 @@ _EXIT_CODES = {
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A known command goes straight to its own parser: parse_args would hand
-    # it the rest of argv and report what it leaves over, in these words.
-    # No argv, a help request or an unknown command goes through parse_args.
-    sub = parser.commands.get(argv[0]) if argv else None
-    try:
-        if sub is None:
-            args = parser.parse_args(argv)
-        else:
-            args, extras = sub.parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-            args.command = argv[0]
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
+    args = _read_argv(argv)
+    if args is None:
+        # A known command goes straight to its own parser: parse_args would hand
+        # it the rest of argv and report what it leaves over, in these words.
+        # No argv, a help request or an unknown command goes through parse_args.
+        parser = build_parser()
+        sub = parser.commands.get(argv[0]) if argv else None
+        try:
+            if sub is None:
+                args = parser.parse_args(argv)
+            else:
+                args, extras = sub.parse_known_args(argv[1:])
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+                args.command = argv[0]
+        except SystemExit as exc:
+            return 0 if exc.code == 0 else 2
     try:
         return _COMMANDS[args.command](args)
     except tuple(_EXIT_CODES) as exc:

@@ -9,14 +9,15 @@ left.  All public vertex, edge, and dot indices are 1-based.
 from __future__ import annotations
 
 import re
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import accumulate, compress, repeat
+from operator import eq, mul, ne
 
 from .errors import QuiverParseError, ShapeError
 from .record import Record, setfield
 
 RIGHT = 1
 LEFT = -1
+_DIRECTIONS = (RIGHT, LEFT)
 
 
 class QuiverA(Record, derived=("turns", "_rights")):
@@ -31,13 +32,13 @@ class QuiverA(Record, derived=("turns", "_rights")):
             raise QuiverParseError("a quiver needs at least one vertex")
         if len(directions) != r - 1:
             raise QuiverParseError(f"expected {r - 1} edge directions, got {len(directions)}")
-        if any(d not in (RIGHT, LEFT) for d in directions):
+        if not all(map(_DIRECTIONS.__contains__, directions)):
             raise QuiverParseError("edge directions must be +1 (right) or -1 (left)")
         setfield(self, "r", r)
         setfield(self, "directions", directions)
-        turns = frozenset(v for v in range(2, r) if directions[v - 2] != directions[v - 1])
-        setfield(self, "turns", turns)
-        setfield(self, "_rights", (0, *accumulate(d == RIGHT for d in directions)))
+        # vertex v is a turn when edges v - 1 and v differ
+        setfield(self, "turns", frozenset(compress(range(2, r), map(ne, directions, directions[1:]))))
+        setfield(self, "_rights", (0, *accumulate(map(eq, directions, repeat(RIGHT)))))
 
     def delta(self, a: int) -> int:
         """Direction of edge ``a`` (1 <= a <= r-1): +1 rightward, -1 leftward."""
@@ -65,6 +66,10 @@ class QuiverA(Record, derived=("turns", "_rights")):
         return "1" + "".join(f"{'->' if d == RIGHT else '<-'}{v}" for v, d in enumerate(self.directions, start=2))
 
 
+# the letters of the compact form, each naming one edge's direction
+_LETTERS = {"R": RIGHT, "r": RIGHT, "L": LEFT, "l": LEFT}
+
+
 def parse_quiver(text: str) -> QuiverA:
     """Parse either arrow form ("1->2<-3") or compact form ("R,L").
 
@@ -74,9 +79,8 @@ def parse_quiver(text: str) -> QuiverA:
     text = text.strip()
     if not text:
         raise QuiverParseError("empty quiver string")
-    compact = re.fullmatch(r"[RLrl](?:\s*,\s*[RLrl])*", text)
-    if compact:
-        dirs = tuple(RIGHT if tok.strip().upper() == "R" else LEFT for tok in text.split(","))
+    dirs = tuple(map(_LETTERS.get, map(str.strip, text.split(","))))
+    if None not in dirs:
         return QuiverA(len(dirs) + 1, dirs)
     tokens = re.findall(r"\d+|->|<-", text)
     if "".join(tokens) != re.sub(r"\s+", "", text):
@@ -99,14 +103,14 @@ class DimVector(Record):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
-        if any(not isinstance(n, int) or n < 1 for n in entries):
+        if not all(map(isinstance, entries, repeat(int))) or (entries and min(entries) < 1):
             raise QuiverParseError("dimension vector entries must be integers >= 1")
         setfield(self, "entries", entries)
 
     @classmethod
     def parse(cls, text: str) -> "DimVector":
         try:
-            return cls(tuple(int(tok) for tok in text.split(",")))
+            return cls(tuple(map(int, text.split(","))))
         except ValueError as exc:
             raise QuiverParseError(f"cannot parse dimension vector {text!r}") from exc
 

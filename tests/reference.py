@@ -3,6 +3,7 @@
 These are the cell-by-cell ASCII renderer (with the column layout it
 was written against), the column-by-column superposition, the CLI
 entry that sends every argv through ``build_parser().parse_args``, the
+quiver parser that matches the compact form with a regular expression, the
 bundle-by-bundle complete and exact diagrams, the bracket product
 expanded with its own base loop, the one-arrow-at-a-time layout
 (``arrow`` and ``_fset_layout``), the lace diagram checked pair by pair,
@@ -10,7 +11,7 @@ the dot-by-dot strand walk and the slice side read off ``Strand``
 records, the one-variable b-function built through ``from_counter``
 from a count of every F-set member, and the b-function document built
 from ``_form_to_json``.  ``qbfun.render``,
-``qbfun.bfun.merge_columns``, ``qbfun.cli.cli_main``, the F-set layout
+``qbfun.bfun.merge_columns``, ``qbfun.cli.cli_main``, ``qbfun.quiver.parse_quiver``, the F-set layout
 of ``qbfun.diagrams``, ``qbfun.bfun.evaluate_bracket_product`` at
 symbolic ``s_i``, the shared strand sweep of ``qbfun.diagrams.strands``
 and ``qbfun.ranks._slice_side``, ``FactoredBFunction.one_variable`` and
@@ -30,6 +31,7 @@ which read the segment indices alpha and beta off ``segment_indices``.
 
 from __future__ import annotations
 
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -38,11 +40,11 @@ from qbfun import linalg
 from qbfun.bfun import FactoredBFunction, FSet, LinearForm
 from qbfun.cli import _COMMANDS, _EXIT_CODES, build_parser
 from qbfun.diagrams import LaceDiagram, Strand
-from qbfun.errors import DiagnosticError, ShapeError
+from qbfun.errors import DiagnosticError, QuiverParseError, ShapeError
 from qbfun.invariants import InvariantIndex, MatrixRep, block_structure, check_invariant
 from qbfun.jsonio import _form_to_json
 from qbfun.poly import MultiPolynomial, VarTable
-from qbfun.quiver import RIGHT, DimVector, Interval, QuiverA, check_dims, sinks_sources
+from qbfun.quiver import LEFT, RIGHT, DimVector, Interval, QuiverA, check_dims, sinks_sources
 from qbfun.record import setfield
 from qbfun.render import LabeledDiagram
 
@@ -148,6 +150,34 @@ def cli_main(argv=None) -> int:
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+
+
+def parse_quiver(text: str) -> QuiverA:
+    """Parse either arrow form ("1->2<-3") or compact form ("R,L").
+
+    The arrow form must list vertices 1..r in order.  The compact form
+    gives one letter per edge, R for rightward and L for leftward.
+    """
+    text = text.strip()
+    if not text:
+        raise QuiverParseError("empty quiver string")
+    compact = re.fullmatch(r"[RLrl](?:\s*,\s*[RLrl])*", text)
+    if compact:
+        dirs = tuple(RIGHT if tok.strip().upper() == "R" else LEFT for tok in text.split(","))
+        return QuiverA(len(dirs) + 1, dirs)
+    tokens = re.findall(r"\d+|->|<-", text)
+    if "".join(tokens) != re.sub(r"\s+", "", text):
+        raise QuiverParseError(f"cannot parse quiver string {text!r}")
+    if len(tokens) < 1 or len(tokens) % 2 == 0:
+        raise QuiverParseError(f"cannot parse quiver string {text!r}")
+    dirs = []
+    for pos, tok in enumerate(tokens):
+        if pos % 2 == 0:
+            if not tok.isdigit() or int(tok) != pos // 2 + 1:
+                raise QuiverParseError(f"vertices must be numbered 1..r in order, got {tok!r}")
+        else:
+            dirs.append(RIGHT if tok == "->" else LEFT)
+    return QuiverA(len(dirs) + 1, tuple(dirs))
 
 
 def _bundle(q: QuiverA, n: DimVector, a: int, size: int) -> frozenset:

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import reference
-from qbfun import DimVector, enumerate_invariants, parse_quiver
+from qbfun import DimVector, cli, enumerate_invariants, parse_quiver
 from qbfun.cli import MAX_DIMENSION_SUM, build_parser, cli_main
 from qbfun.oracle import MAX_OPERATOR_DEGREE
 
@@ -495,6 +495,66 @@ def test_direct_dispatch_answers_like_parse_args(monkeypatch, capsys):
         assert (cli_main(list(argv)), *capsys.readouterr()) == want, argv
     assert cli_main(["bfun", *request, "extra"]) == 2
     assert capsys.readouterr().err.endswith("qbfun: error: unrecognized arguments: extra\n")
+
+
+def test_the_direct_reader_reads_like_argparse(capsys):
+    """Whenever cli_main reads an argv itself, argparse reads it to the same fields.
+
+    The 400 fuzzed argvs and the edge argvs above, then the forms the
+    reader leaves to argparse: a value that starts with "-" (argparse
+    reads "-1" as a value), a repeated option, a choice not offered, two
+    or no members of diagram's group, a missing required option or value,
+    a flag given a value.  The reader must also take every well-formed
+    draw, or the fast path would have decayed into always asking argparse.
+    """
+    rng = random.Random(20261019)
+    argvs = [_mutated(rng, _valid_argv(rng)) for _ in range(400)]
+    request = ["--quiver", "1->2", "--dims", "2,2", "--pq", "1,2"]
+    argvs += [
+        [], ["-h"], ["--help"], ["nope"], ["bfun", "-h"], ["diagram", "--help"],
+        ["bfun", *request, "extra"], ["bfun", *request, "--bogus"], ["bfun", "--quiver=1->2", "--dims=2,2", "--pq=1,2"],
+        ["bfun", "--qui", "1->2", "--dims", "2,2", "--pq", "1,2"], ["--quiver", "1->2", "bfun", "--dims", "2,2", "--pq", "1,2"],
+        ["--", "bfun", *request], ["bfun", *request, "--", "extra"], ["bfun"],
+        ["invariants", "--quiver", "1->2", "--dims", "1,1", "--format"],
+        ["verify", "--quiver", "1->2", "--dims", "1,1", "--multi", "-1"],
+        ["verify", "--quiver", "-1", "--dims", "1,1"],
+        ["bfun", *request, "--pq", "1,2"],
+        ["bfun", *request, "--format", "xml"],
+        ["diagram", "--quiver", "1->2", "--dims", "1,1", "--complete", "--superposed"],
+        ["diagram", "--quiver", "1->2", "--dims", "1,1", "--pq", "1,2", "--complete"],
+        ["diagram", "--quiver", "1->2", "--dims", "1,1"],
+        ["diagram", "--quiver", "1->2", "--dims", "1,1", "--complete", "--out", ""],
+        ["verify", "--quiver", "1->2", "--dims", "1,1", "--grad", "yes"],
+        ["verify", "--quiver", "1->2", "--dims", "1,1", "--grad", "--afun", "--budget", ""],
+        ["ranks", "--dims", "1,1", "--pq", "1,2"],
+        ["slice", "--pq", "1,2", "--dims", "1,1", "--quiver", "R"],
+    ]
+    commands = build_parser().commands
+    accepted = 0
+    for argv in argvs:
+        args = cli._read_argv(list(argv))
+        if args is None:
+            continue
+        accepted += 1
+        want, extras = commands[argv[0]].parse_known_args(argv[1:])
+        assert extras == [] and vars(args) == {**vars(want), "command": argv[0]}, argv
+    assert capsys.readouterr() == ("", "")
+    assert accepted > 200, accepted
+    for _ in range(400):
+        argv = _valid_argv(rng)
+        assert cli._read_argv(argv) is not None, argv
+
+
+def test_importing_the_cli_loads_no_argparse():
+    """Only an argv that the direct reader leaves over needs argparse, so the import of the CLI loads neither it nor gettext."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import qbfun.cli; "
+        "print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_dimension_sum_above_the_limit_is_an_input_error(capsys):

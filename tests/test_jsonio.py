@@ -1,3 +1,4 @@
+import copy
 import enum
 import json
 import random
@@ -103,12 +104,61 @@ def test_text_formats():
 
 DECODERS = sorted(name for name in vars(jsonio) if name.endswith("_from_json") and not name.startswith("_"))
 
+BFUN_DOC = {"variables": 1, "factors": [{"coeffs": {"s1": 1}, "constant": 2, "support": ["m1"], "multiplicity": 1}]}
+AFUN_DOC = {"variables": 1, "factors": [{"coeffs": {"s1": 1}, "constant": 2, "support": ["m1"], "connections": 2}]}
+FSET_DOC = {"size": 3, "columns": [{"k": 2, "range": [1, 2]}, {"k": 3, "range": None}]}
+DIAGRAM_DOC = {"columns": [1, 1], "edges": [{"edge": 1, "pairs": [[1, 1]]}]}
+SLICE_DOC = {
+    "vertices": [{"interval": [1, 1], "mult": 2}, {"interval": [2, 2], "mult": 3}],
+    "arrows": [{"from": 1, "to": 2, "count": 1}],
+}
 
-@pytest.mark.parametrize("document", [{}, [], "x"], ids=["object", "array", "string"])
-@pytest.mark.parametrize("decoder", DECODERS)
+# (decoder, id, a document it decodes, the path to one of its ints, a value that is no plain int
+# there, or one below the least count): the program's numbers are exact ints, never floats or bools
+SPOILED = [
+    ("bfun_from_json", "float-constant", BFUN_DOC, ("factors", 0, "constant"), 1.5),
+    ("bfun_from_json", "bool-variables", BFUN_DOC, ("variables",), True),
+    ("bfun_from_json", "float-multiplicity", BFUN_DOC, ("factors", 0, "multiplicity"), 1.0),
+    ("bfun_from_json", "float-coefficient", BFUN_DOC, ("factors", 0, "coeffs", "s1"), 1.0),
+    ("afun_from_json", "float-connections", AFUN_DOC, ("factors", 0, "connections"), 0.5),
+    ("fset_from_json", "float-range", FSET_DOC, ("columns", 0, "range", 0), 1.5),
+    ("fset_from_json", "bool-k", FSET_DOC, ("columns", 0, "k"), True),
+    ("diagram_from_json", "float-column", DIAGRAM_DOC, ("columns", 1), 1.0),
+    ("diagram_from_json", "float-pair", DIAGRAM_DOC, ("edges", 0, "pairs", 0, 1), 1.0),
+    ("rank_from_json", "float-size", {"size": 1, "rows": [[2]]}, ("size",), 1.0),
+    ("slice_from_json", "float-mult", SLICE_DOC, ("vertices", 0, "mult"), 1.5),
+    ("slice_from_json", "zero-mult", SLICE_DOC, ("vertices", 0, "mult"), 0),
+    ("slice_from_json", "negative-count", SLICE_DOC, ("arrows", 0, "count"), -4),
+    ("slice_from_json", "zero-count", SLICE_DOC, ("arrows", 0, "count"), 0),
+]
+
+
+def spoiled(document, path, value):
+    document = copy.deepcopy(document)
+    inner = document
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return document
+
+
+MALFORMED = [
+    pytest.param(decoder, document, id=f"{decoder}-{name}")
+    for decoder in DECODERS
+    for name, document in (("object", {}), ("array", []), ("string", "x"))
+] + [pytest.param(decoder, spoiled(document, path, value), id=f"{decoder}-{name}") for decoder, name, document, path, value in SPOILED]
+
+
+@pytest.mark.parametrize("decoder, document", MALFORMED)
 def test_decoders_reject_malformed_documents(decoder, document):
     with pytest.raises(QuiverParseError):
         getattr(jsonio, decoder)(document)
+
+
+def test_the_spoiled_documents_decode_before_they_are_spoiled():
+    """Each document above is refused for its one spoiled field; with its own int there, it decodes."""
+    for decoder, _, document, path, _ in SPOILED:
+        getattr(jsonio, decoder)(copy.deepcopy(document))
 
 
 def test_rank_decoder_checks_the_triangle():

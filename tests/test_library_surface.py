@@ -1,15 +1,18 @@
 """Every name and record field of src/qbfun that no library module uses is listed, with why it stays.
 
 A top-level function or class counts as used when some module of
-src/qbfun other than __init__ refers to its name (a Name or an
-Attribute node).  A public method, or a slot of a record, counts as
-used only when some such module reads it as an attribute (``x.name``),
-so a local variable of the same name does not hide it.  Code that only
-the tests, the benchmark or the package's re-exports reach belongs in
-tests/ unless it has a reason here.
+src/qbfun other than __init__ refers to its name, by an attribute read
+or by a name that is not local to its scope (a loop variable or an
+argument of that name is another variable).  A public method, or a
+slot of a record, counts as used only when some such module reads it as
+an attribute (``x.name``), so a local variable of the same name does
+not hide it either.  Code that only the tests, the benchmark or the
+package's re-exports reach belongs in tests/ unless it has a reason
+here.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qbfun"
@@ -59,16 +62,29 @@ UNREAD_FIELDS = {
 }
 
 
+def _global_names(source: str, filename: str) -> set[str]:
+    """The names a module refers to, except where the name is local to the scope it occurs in."""
+    found = set()
+    tables = [symtable.symtable(source, filename, "exec")]
+    while tables:
+        table = tables.pop()
+        tables.extend(table.get_children())
+        module = table.get_type() == "module"
+        found.update(sym.get_name() for sym in table.get_symbols() if sym.is_referenced() and (module or sym.is_global()))
+    return found
+
+
 def _scan(src: Path):
-    """Each module's tree but __init__'s, the names they refer to, and the attributes they read."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py")) if path.stem != "__init__"}
-    names, read = set(), set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+    """Each module's tree but __init__'s, the global names they refer to, and the attributes they read."""
+    paths = [path for path in sorted(src.glob("*.py")) if path.stem != "__init__"]
+    trees, names, read = {}, set(), set()
+    for path in paths:
+        source = path.read_text()
+        trees[path.stem] = ast.parse(source)
+        names |= _global_names(source, str(path))
+        read.update(
+            node.attr for node in ast.walk(trees[path.stem]) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
     return trees, names, read
 
 
@@ -116,7 +132,8 @@ def test_every_record_field_no_module_reads_has_a_reason():
 def test_the_scan_finds_a_name_only_the_tests_call(tmp_path):
     """A helper that no module calls is found; once a module calls it, it is not.
 
-    A record field is found until a module reads it as an attribute; a
+    A loop variable of the helper's name does not count as a call.  A
+    record field is found until a module reads it as an attribute; a
     local variable of the same name does not count as a read.
     """
     (tmp_path / "a.py").write_text("class K:\n    def m(self):\n        pass\n\n\ndef helper():\n    return K()\n")
@@ -128,3 +145,10 @@ def test_the_scan_finds_a_name_only_the_tests_call(tmp_path):
         "def first(r):\n    y = r.x\n    return y\n"
     )
     assert unread_fields(tmp_path) == {"c.R.y"}
+    (tmp_path / "d.py").write_text(
+        "def act():\n    return 1\n\n\ndef run(xs):\n    for act in xs:\n        print(act)\n"
+        "    return [act for act in xs]\n"
+    )
+    assert {"d.act", "d.run"} <= unused_names(tmp_path)
+    (tmp_path / "e.py").write_text("from .d import act\n\n\ndef go():\n    return act()\n")
+    assert "d.act" not in unused_names(tmp_path)

@@ -9,6 +9,7 @@ from qbfun import DimVector, Interval, euler_form, parse_quiver, sinks_sources
 from qbfun.errors import QuiverParseError, ShapeError
 from qbfun.invariants import _walk, block_structure
 from qbfun.quiver import LEFT, RIGHT, QuiverA, interval_euler_form
+import reference
 from reference import interval_vector
 
 
@@ -29,6 +30,41 @@ def test_parse_round_trip_random():
     for _ in range(50):
         q = random_quiver(rng)
         assert parse_quiver(str(q)) == q
+
+
+def _parsed(parse, text):
+    """The quiver parse makes of text, or its exception's class and message."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_compact_form_parses_like_the_regex_parser():
+    """Seeded random strings: the same QuiverA, or the same exception with the same message.
+
+    Half the strings are letters and commas, each part padded with
+    whitespace or left empty; the others are drawn from every character
+    the two forms use.
+    """
+    rng = random.Random(29)
+    blanks = ("", "", " ", "\t", "\u3000", " \t")
+    alphabet = list("RLrl,-><12") + [" ", "\t", "\u3000", ""]
+    parsed = failed = 0
+    for _ in range(3000):
+        if rng.random() < 0.5:
+            letters = (rng.choice("RLrlRL ") if rng.random() < 0.9 else "" for _ in range(rng.randint(1, 8)))
+            text = ",".join(rng.choice(blanks) + letter + rng.choice(blanks) for letter in letters)
+        else:
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        want = _parsed(reference.parse_quiver, text)
+        assert _parsed(parse_quiver, text) == want, repr(text)
+        if isinstance(want, QuiverA):
+            parsed += 1
+        else:
+            assert want[0] is QuiverParseError, repr(text)
+            failed += 1
+    assert parsed > 500 and failed > 500, (parsed, failed)
 
 
 @pytest.mark.parametrize("bad", ["", "1->3", "2->3", "1=>2", "1->1", "R,Q", "1->"])
