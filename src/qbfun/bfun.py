@@ -10,7 +10,6 @@ support S becomes a rising factorial [A]_{sum of m_i over S}.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .errors import ShapeError
 from .invariants import InvariantIndex, check_invariant, enumerate_invariants
@@ -41,7 +40,9 @@ class LinearForm(Record):
         """The form at s with * and + only: a Fraction at ints and Fractions, a polynomial at polynomials."""
         if any(isinstance(x, float) for x in s):
             raise ShapeError("linear forms are evaluated exactly; pass Fractions, not floats")
-        return sum((c * x for c, x in zip(self.coeffs, s) if c), Fraction(self.constant))
+        import fractions  # only the oracle evaluates forms, so only its requests load fractions
+
+        return sum((c * x for c, x in zip(self.coeffs, s) if c), fractions.Fraction(self.constant))
 
     def label_text(self) -> str:
         parts = []
@@ -126,11 +127,13 @@ def evaluate_bracket_product(b: FactoredBFunction, m, s):
         raise ShapeError(f"need {b.num_labels} bracket lengths and variables")
     if any(not isinstance(k, int) or k < 0 for k in m):
         raise ShapeError("bracket lengths must be non-negative integers")
-    total = Fraction(1)
+    import fractions
+
+    total = fractions.Fraction(1)
     for form, mult in b.factors:
         length = sum(m[i - 1] for i in form.support)
         base = form.value(s)
-        rising = Fraction(1)
+        rising = fractions.Fraction(1)
         for t in range(length):
             rising *= base + t
         total *= rising ** mult

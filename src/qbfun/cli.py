@@ -45,7 +45,7 @@ from .oracle import (
     grad_log_check,
     oracle_b_function,
 )
-from .quiver import DimVector, parse_quiver
+from .quiver import DimVector, parse_ints, parse_quiver
 from .ranks import normal_slice, rank_parameter, restrict
 from .render import LabeledDiagram, render_ascii, render_svg, superposed_diagram, labeled_exact_diagram
 
@@ -285,7 +285,7 @@ def _cmd_slice(args):
 def _shifts(q, n, text):
     """The --multi shifts, validated as input: one non-negative integer per invariant."""
     try:
-        shifts = tuple(int(tok) for tok in text.split(","))
+        shifts = parse_ints(text)
     except ValueError as exc:
         raise QuiverParseError(f"cannot parse shifts {text!r}") from exc
     count = len(enumerate_invariants(q, n))

@@ -9,12 +9,13 @@ on a malformed document.  dumps writes every document the CLI prints.
 from __future__ import annotations
 
 from functools import wraps
+from operator import ge
 from _json import encode_basestring_ascii  # the C encoder json.encoder re-exports, without loading json
 
 from .bfun import AFunction, FactoredBFunction, FSet, LinearForm
 from .diagrams import LaceDiagram
 from .errors import QuiverParseError
-from .quiver import Interval, QuiverA, parse_quiver
+from .quiver import Interval, QuiverA, parse_ints, parse_quiver
 from .ranks import RankParameter, SliceRep
 
 
@@ -166,6 +167,21 @@ def _form_from_json(data: dict, num_labels: int) -> LinearForm:
     return LinearForm(tuple(coeffs), _int(data["constant"]))
 
 
+def _factors_from_json(data: dict, count: str) -> tuple:
+    """(num_labels, factors) of a b- or a-function document, each factor (form, item[count]).
+
+    The forms must be strictly increasing in LinearForm.sort_key, the one
+    order that from_counter, one_variable and a_function give, so a
+    repeated or out-of-order factor is refused.
+    """
+    num_labels = _int(data["variables"], 0)
+    factors = tuple((_form_from_json(item, num_labels), _int(item[count])) for item in data["factors"])
+    keys = [form.sort_key() for form, _ in factors]
+    if any(map(ge, keys, keys[1:])):
+        raise QuiverParseError("factors must be distinct and in canonical order")
+    return num_labels, factors
+
+
 def bfun_to_json(b: FactoredBFunction) -> dict:
     """One dict per factor; with one label, every form has the coefficient of s1 and support m1."""
     if b.num_labels == 1:
@@ -182,11 +198,7 @@ def bfun_to_json(b: FactoredBFunction) -> dict:
 
 @_decoder
 def bfun_from_json(data: dict) -> FactoredBFunction:
-    num_labels = _int(data["variables"], 0)
-    factors = tuple(
-        (_form_from_json(item, num_labels), _int(item["multiplicity"])) for item in data["factors"]
-    )
-    return FactoredBFunction(num_labels, factors)
+    return FactoredBFunction(*_factors_from_json(data, "multiplicity"))
 
 
 def format_bfun_text(b: FactoredBFunction) -> str:
@@ -217,11 +229,7 @@ def afun_to_json(a: AFunction) -> dict:
 
 @_decoder
 def afun_from_json(data: dict) -> AFunction:
-    num_labels = _int(data["variables"], 0)
-    factors = tuple(
-        (_form_from_json(item, num_labels), _int(item["connections"])) for item in data["factors"]
-    )
-    return AFunction(num_labels, factors)
+    return AFunction(*_factors_from_json(data, "connections"))
 
 
 def format_afun_text(a: AFunction) -> str:
@@ -255,11 +263,19 @@ def fset_to_json(fs: FSet) -> dict:
 def fset_from_json(data: dict) -> FSet:
     size = _int(data["size"])
     ranges = [None] * (size - 1)
+    seen = set()
     for item in data["columns"]:
-        if not 2 <= _int(item["k"]) <= size:
-            raise QuiverParseError(f"column k = {item['k']!r} outside 2..{size}")
+        k = _int(item["k"])
+        if not 2 <= k <= size:
+            raise QuiverParseError(f"column k = {k!r} outside 2..{size}")
+        if k in seen:
+            raise QuiverParseError(f"column k = {k!r} listed twice")
+        seen.add(k)
         if item["range"] is not None:
-            ranges[item["k"] - 2] = _ints(item["range"])
+            rng = _ints(item["range"])
+            if len(rng) != 2:
+                raise QuiverParseError(f"column range {item['range']!r} must be null or two integers")
+            ranges[k - 2] = rng
     return FSet(size, tuple(ranges))
 
 
@@ -328,7 +344,7 @@ def slice_from_json(data: dict) -> SliceRep:
 
 def parse_pq(text: str) -> tuple[int, int]:
     try:
-        p, q = (int(tok) for tok in text.split(","))
+        p, q = parse_ints(text)
     except ValueError as exc:
         raise QuiverParseError(f"cannot parse pair {text!r}; expected 'p,q'") from exc
     return p, q

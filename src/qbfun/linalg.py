@@ -3,12 +3,13 @@
 Matrices are immutable tuples of row tuples.  One fraction-free
 elimination on sparse rows {column: entry} is behind rank, det and
 inverse: integer inputs stay integer all the way through, and rational
-rows are lifted to integers by clearing their denominators.
+rows are lifted to integers by clearing their denominators.  Only
+inverse, and det at a non-integral value, build Fractions: they import
+fractions in their bodies, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, repeat
 from math import gcd, lcm, prod
@@ -60,10 +61,12 @@ def mat_chain(mats):
 
 
 def _lift(row):
-    """(row times the lcm of its denominators, that lcm) for rational entries."""
-    fracs = [Fraction(x) for x in row]
-    den = lcm(*(f.denominator for f in fracs))
-    return [int(f * den) for f in fracs], den
+    """(row times the lcm of its denominators, that lcm) for int and Fraction entries."""
+    try:
+        den = lcm(*(x.denominator for x in row))
+    except AttributeError:
+        raise ShapeError("exact linear algebra takes ints and Fractions, not floats") from None
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _step(v, p, j):
@@ -153,7 +156,11 @@ def det(a):
         return 0
     inversions = sum(x > y for x, y in combinations(pivots, 2))
     top = (-1) ** inversions * prod(p[j] for j, p in pivots.items()) * den
-    return top // num if top % num == 0 else Fraction(top, num)
+    if top % num == 0:
+        return top // num
+    import fractions
+
+    return fractions.Fraction(top, num)
 
 
 def inverse(a):
@@ -172,4 +179,6 @@ def inverse(a):
     for i in reversed(range(n)):
         for k in [k for k in pivots[i] if i < k < n]:
             _step(pivots[i], pivots[k], k)
-    return tuple(tuple(Fraction(pivots[i].get(n + k, 0), pivots[i][i]) for k in range(n)) for i in range(n))
+    import fractions
+
+    return tuple(tuple(fractions.Fraction(pivots[i].get(n + k, 0), pivots[i][i]) for k in range(n)) for i in range(n))

@@ -12,7 +12,6 @@ budgets.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .invariants import MatrixRep, assemble, block_spec, enumerate_invariants, evaluate_invariant
 from .poly import Accumulator, MultiPolynomial, VarTable
-from .quiver import DimVector, QuiverA
+from .quiver import DimVector, QuiverA, parse_ints
 from .record import Record, setfield
 
 # Largest degree sum m_i * deg f_i of the --multi operator prod f_i^{m_i}.
@@ -51,7 +50,7 @@ class Budget(Record):
     def parse(cls, text: str) -> "Budget":
         """Read NSTATE, NF,NSTATE or NF,NSTATE,SIZE; each a positive integer."""
         try:
-            parts = [int(tok) for tok in text.split(",")]
+            parts = parse_ints(text)
         except ValueError as exc:
             raise QuiverParseError(f"cannot parse budget {text!r}") from exc
         if len(parts) > 3 or min(parts) < 1:
@@ -193,7 +192,9 @@ def _factor_b(coeffs: dict, expected_degree: int):
     deg = max(coeffs)
     if deg != expected_degree:
         raise OracleIdentityError(f"b-function degree {deg}, expected {expected_degree}")
-    lead = Fraction(coeffs[deg])
+    import fractions
+
+    lead = fractions.Fraction(coeffs[deg])
     monic = [coeffs.get(k, 0) / lead for k in range(deg + 1)]
     if any(c.denominator != 1 for c in monic):
         raise OracleIdentityError("monic b-function has non-integer coefficients")
@@ -464,9 +465,11 @@ def apply_bernstein_multi(q, n, m, budget=None) -> MultiBernsteinResult:
     if engine.is_zero():
         raise OracleIdentityError("engine bracket product is zero")
     lead, lead_coef = engine.monomials()[-1]
+    import fractions
+
     if lead not in b_terms:
-        return MultiBernsteinResult(False, b_poly, engine, Fraction(0))
-    constant = Fraction(b_terms[lead], lead_coef)
+        return MultiBernsteinResult(False, b_poly, engine, fractions.Fraction(0))
+    constant = fractions.Fraction(b_terms[lead], lead_coef)
     ok = b_poly == engine * constant
     return MultiBernsteinResult(ok, b_poly, engine, constant)
 
@@ -489,9 +492,10 @@ def grad_log_invariant(q, n, idx):
     y_inv = linalg.inverse(assemble(spec, rep))
     dims = rep.dims
     row_off, col_off = spec.offsets(dims)
+    import fractions
 
     grads = [
-        [[Fraction(0)] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])]
+        [[fractions.Fraction(0)] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])]
         for a in q.edges()
     ]
     for (sigma, tau), path in spec.entries.items():

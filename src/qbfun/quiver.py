@@ -8,7 +8,6 @@ left.  All public vertex, edge, and dot indices are 1-based.
 
 from __future__ import annotations
 
-import re
 from itertools import accumulate, compress, repeat
 from operator import eq, mul, ne
 
@@ -73,8 +72,9 @@ _LETTERS = {"R": RIGHT, "r": RIGHT, "L": LEFT, "l": LEFT}
 def parse_quiver(text: str) -> QuiverA:
     """Parse either arrow form ("1->2<-3") or compact form ("R,L").
 
-    The arrow form must list vertices 1..r in order.  The compact form
-    gives one letter per edge, R for rightward and L for leftward.
+    The arrow form must list vertices 1..r in order, in ASCII digits.  The
+    compact form gives one letter per edge, R for rightward and L for
+    leftward.  Blanks may stand around every letter, arrow and number.
     """
     text = text.strip()
     if not text:
@@ -82,10 +82,10 @@ def parse_quiver(text: str) -> QuiverA:
     dirs = tuple(map(_LETTERS.get, map(str.strip, text.split(","))))
     if None not in dirs:
         return QuiverA(len(dirs) + 1, dirs)
-    tokens = re.findall(r"\d+|->|<-", text)
-    if "".join(tokens) != re.sub(r"\s+", "", text):
-        raise QuiverParseError(f"cannot parse quiver string {text!r}")
-    if len(tokens) < 1 or len(tokens) % 2 == 0:
+    # blanks around each arrow split the text into arrows and numbers; the two
+    # arrows overlap only in "<->", which no quiver string holds, so the replaces commute
+    tokens = text.replace("->", " -> ").replace("<-", " <- ").split()
+    if len(tokens) % 2 == 0 or not all(map(_is_token, tokens)):
         raise QuiverParseError(f"cannot parse quiver string {text!r}")
     dirs = []
     for pos, tok in enumerate(tokens):
@@ -95,6 +95,22 @@ def parse_quiver(text: str) -> QuiverA:
         else:
             dirs.append(RIGHT if tok == "->" else LEFT)
     return QuiverA(len(dirs) + 1, tuple(dirs))
+
+
+def _is_token(token: str) -> bool:
+    """An arrow, or a number in ASCII digits."""
+    return token == "->" or token == "<-" or token.isdigit() and token.isascii()
+
+
+def parse_ints(text: str) -> tuple[int, ...]:
+    """The comma-separated integers of text, each in ASCII digits with ASCII blanks around it.
+
+    A sign, an underscore, a non-ASCII character or any other text raises
+    ValueError: int() alone would also read " +1", "1_0" and "１" as numbers.
+    """
+    if not text.isascii() or "+" in text or "-" in text or "_" in text:
+        raise ValueError(f"not comma-separated ASCII digits: {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 class DimVector(Record):
@@ -110,7 +126,7 @@ class DimVector(Record):
     @classmethod
     def parse(cls, text: str) -> "DimVector":
         try:
-            return cls(tuple(map(int, text.split(","))))
+            return cls(parse_ints(text))
         except ValueError as exc:
             raise QuiverParseError(f"cannot parse dimension vector {text!r}") from exc
 

@@ -356,7 +356,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_html():
 # Junk for the options the fuzz test below mutates.  Every number stays small:
 # large dims, budgets or shifts ask for work that no budget bounds.
 SMALL_BUDGETS = ("1", "5,5", "1,20000,6", "200,20000,6")
-JUNK = ("", " ", "x", "-1", "0", "1,", ",1", "1,,2", "1.5", "1e3", "0x10", "nan", "--", "\uff11,\uff12", "\x00", "1;2", "[1,2]", "1 2")
+JUNK = ("", " ", "x", "-1", "0", "1,", ",1", "1,,2", "1.5", "1e3", "0x10", "nan", "--", "\uff11,\uff12", "\x00", "1;2", "[1,2]", "1 2", "+1", "1_0", "1,+2")
 OPTION_JUNK = {
     "--quiver": ("1->", "->2", "1->2->", "1=>2", "2->1", "1->3", "1<->2", "R,L,X", "R,,L", "1-2", "1->2<-3->"),
     "--dims": ("1,2,-1", "0,0", "2,5,7,4,2", "9"),
@@ -555,6 +555,62 @@ def test_importing_the_cli_loads_no_argparse():
     done = subprocess.run([sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# one well-formed request of each subcommand but verify, the only one that builds a Fraction
+REQUESTS_WITHOUT_FRACTIONS = [
+    [command, "--quiver", "1->2<-3->4<-5", "--dims", "2,5,7,4,2", *options]
+    for command, options in (
+        ("invariants", ()),
+        ("bfun", ("--pq", "1,4")),
+        ("bfun-multi", ()),
+        ("afun", ()),
+        ("diagram", ("--pq", "1,4", "--render", "ascii")),
+        ("diagram", ("--complete", "--render", "svg")),
+        ("diagram", ("--superposed",)),
+        ("ranks", ("--pq", "1,4")),
+        ("slice", ("--pq", "2,5")),
+    )
+]
+
+
+_FRACTIONS_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import qbfun.cli
+after_import = sorted({"fractions", "decimal", "numbers", "heapq"} & set(sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [qbfun.cli.cli_main(argv) for argv in json.loads(sys.argv[2])]
+print(after_import, codes, sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+"""
+
+
+def test_only_verify_loads_fractions():
+    """A fresh process imports the CLI without fractions, decimal, numbers and heapq, and no request but verify loads the first three."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", _FRACTIONS_PROBE, src, json.dumps(REQUESTS_WITHOUT_FRACTIONS)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"[] {[0] * len(REQUESTS_WITHOUT_FRACTIONS)} []"
+
+
+def test_signs_underscores_and_wide_digits_are_input_errors(capsys):
+    """A number is ASCII digits with blanks around it: int()'s other readings exit 2 with one error line."""
+    bad = (
+        ["bfun", "--quiver", "1->\uff12", "--dims", "\uff11,1_0", "--pq", " +1,2"],
+        ["bfun", "--quiver", "R", "--dims", " 2,+2", "--pq", "1,2"],
+        ["bfun", "--quiver", "R", "--dims", "2,2", "--pq", "1,\uff12"],
+        ["verify", "--quiver", "R", "--dims", "1,1", "--budget", "1_000"],
+        ["verify", "--quiver", "R", "--dims", "1,1", "--multi", "+1"],
+    )
+    for argv in bad:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and _one_error_line(captured.err), argv
+    assert cli_main(["bfun", "--quiver", " R ", "--dims", " 2 , 2 ", "--pq", " 1, 2"]) == 0
+    assert '"pq"' in capsys.readouterr().out
 
 
 def test_dimension_sum_above_the_limit_is_an_input_error(capsys):

@@ -2,6 +2,7 @@ import copy
 import enum
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,7 +41,7 @@ from qbfun.jsonio import (
     slice_to_json,
 )
 from qbfun import cli, jsonio
-from qbfun.bfun import a_function
+from qbfun.bfun import FactoredBFunction, a_function
 from qbfun.errors import QuiverParseError
 
 
@@ -133,6 +134,29 @@ SPOILED = [
 ]
 
 
+def factor(constant, *labels, count=("multiplicity", 1)):
+    """One factor of a b-function document (an a-function one with count=("connections", e))."""
+    return {
+        "coeffs": {f"s{i}": 1 for i in labels},
+        "constant": constant,
+        "support": [f"m{i}" for i in labels],
+        count[0]: count[1],
+    }
+
+
+# (decoder, id, a document of well-typed values that encodes no value, or a value a second
+# way): a range is null or two ints, a column is listed once, factors strictly increase
+NOT_CANONICAL = [
+    ("fset_from_json", "three-entry-range", {"size": 3, "columns": [{"k": 2, "range": [1, 2, 3]}, {"k": 3, "range": None}]}),
+    ("fset_from_json", "one-entry-range", {"size": 3, "columns": [{"k": 2, "range": [1]}, {"k": 3, "range": None}]}),
+    ("fset_from_json", "column-listed-twice", {"size": 3, "columns": [{"k": 2, "range": [1, 2]}, {"k": 2, "range": [3, 4]}]}),
+    ("bfun_from_json", "repeated-factor", {"variables": 1, "factors": [factor(2, 1), factor(2, 1)]}),
+    ("bfun_from_json", "factors-out-of-order", {"variables": 1, "factors": [factor(3, 1), factor(2, 1)]}),
+    ("bfun_from_json", "supports-out-of-order", {"variables": 2, "factors": [factor(1, 1, 2), factor(2, 1)]}),
+    ("afun_from_json", "repeated-form", {"variables": 1, "factors": [factor(0, 1, count=("connections", 1))] * 2}),
+]
+
+
 def spoiled(document, path, value):
     document = copy.deepcopy(document)
     inner = document
@@ -146,7 +170,9 @@ MALFORMED = [
     pytest.param(decoder, document, id=f"{decoder}-{name}")
     for decoder in DECODERS
     for name, document in (("object", {}), ("array", []), ("string", "x"))
-] + [pytest.param(decoder, spoiled(document, path, value), id=f"{decoder}-{name}") for decoder, name, document, path, value in SPOILED]
+] + [pytest.param(decoder, spoiled(document, path, value), id=f"{decoder}-{name}") for decoder, name, document, path, value in SPOILED] + [
+    pytest.param(decoder, document, id=f"{decoder}-{name}") for decoder, name, document in NOT_CANONICAL
+]
 
 
 @pytest.mark.parametrize("decoder, document", MALFORMED)
@@ -159,6 +185,16 @@ def test_the_spoiled_documents_decode_before_they_are_spoiled():
     """Each document above is refused for its one spoiled field; with its own int there, it decodes."""
     for decoder, _, document, path, _ in SPOILED:
         getattr(jsonio, decoder)(copy.deepcopy(document))
+
+
+def test_the_canonical_encodings_decode():
+    """The canonical documents of the values NOT_CANONICAL spells twice or out of order decode to them."""
+    squared = jsonio.bfun_from_json({"variables": 1, "factors": [factor(2, 1, count=("multiplicity", 2))]})
+    assert squared == FactoredBFunction.one_variable(Counter({2: 2}))
+    both = jsonio.bfun_from_json({"variables": 1, "factors": [factor(2, 1), factor(3, 1)]})
+    assert both == FactoredBFunction.one_variable(Counter({2: 1, 3: 1}))
+    two = jsonio.bfun_from_json({"variables": 2, "factors": [factor(2, 1), factor(1, 1, 2)]})
+    assert [form.support for form, _ in two.factors] == [(1,), (1, 2)]
 
 
 def test_rank_decoder_checks_the_triangle():

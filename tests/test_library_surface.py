@@ -8,7 +8,8 @@ slot of a record, counts as used only when some such module reads it as
 an attribute (``x.name``), so a local variable of the same name does
 not hide it either.  Code that only the tests, the benchmark or the
 package's re-exports reach belongs in tests/ unless it has a reason
-here.
+here.  A last scan reads the imports each module runs when it is
+imported, so a module-level import of a deferred module shows.
 """
 
 import ast
@@ -152,3 +153,43 @@ def test_the_scan_finds_a_name_only_the_tests_call(tmp_path):
     assert {"d.act", "d.run"} <= unused_names(tmp_path)
     (tmp_path / "e.py").write_text("from .d import act\n\n\ndef go():\n    return act()\n")
     assert "d.act" not in unused_names(tmp_path)
+
+
+# stdlib modules that only a function body of src/qbfun may import: only verify's requests build
+# a Fraction (fractions loads decimal and numbers), test a polynomial's scalar (numbers) or divide
+# polynomials (heapq), and no module needs re
+DEFERRED_IMPORTS = {"fractions", "decimal", "numbers", "heapq", "re"}
+
+
+def import_time_imports(src: Path) -> set[str]:
+    """module:package for every absolute import a module of src runs when it is imported.
+
+    Statements at module level, in class bodies and in top-level if or try
+    blocks run then; those in a function body run only when it is called.
+    """
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.parse(path.read_text()).body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.Import):
+                found.update(f"{path.stem}:{alias.name.partition('.')[0]}" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(f"{path.stem}:{node.module.partition('.')[0]}")
+            nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_fractions_decimal_numbers_heapq_or_re_when_it_is_imported():
+    """A static check: re is loaded at start-up where a .pth file imports it, so sys.modules cannot show it."""
+    assert {name for name in import_time_imports(SRC) if name.partition(":")[2] in DEFERRED_IMPORTS} == set()
+
+
+def test_the_import_scan_skips_only_function_bodies(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import re\nimport xml.dom as dom\nfrom . import b\n\n\nclass K:\n    from heapq import heappop\n\n\n"
+        "try:\n    import decimal\nexcept ImportError:\n    pass\n\n\ndef f():\n    from fractions import Fraction\n"
+    )
+    assert import_time_imports(tmp_path) == {"a:re", "a:xml", "a:heapq", "a:decimal"}

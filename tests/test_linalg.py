@@ -166,6 +166,13 @@ def test_rank_keeps_integers_exact():
     assert linalg.rank(((Fraction(1, 3), Fraction(2, 3)), (1, 2))) == 1
 
 
+def test_floats_are_refused_not_rounded():
+    """An entry without numerator and denominator (a float) is an error, never read as a nearby rational."""
+    for call in (linalg.rank, linalg.det, linalg.inverse):
+        with pytest.raises(ShapeError):
+            call(((1.5, 0), (0, 1)))
+
+
 def test_block_matrices_of_lace_diagrams():
     """The 0/1 matrices rank_parameter assembles, for every pair i < j."""
     rng = random.Random(95)

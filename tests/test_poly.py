@@ -10,6 +10,7 @@ exponent at 2^15 - 1 instead of carrying into the next variable.
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -199,6 +200,20 @@ def test_quotient_coefficients_are_fractions_only_when_not_integral():
     assert two == 2 and type(constant_value(two)) is int
     half = (X * 2).exact_div(X * 4)
     assert half == Fraction(1, 2) and type(constant_value(half)) is Fraction
+
+
+def test_scalars_are_exact_rationals_only():
+    """Ints and Fractions act as constants; a float, a Decimal or a string is refused, never rounded."""
+    for bad in (lambda: X * 1.5, lambda: X + Decimal("0.5"), lambda: X * "2", lambda: 1.5 * X, lambda: X - 0.5):
+        with pytest.raises(TypeError):
+            bad()
+    assert (MultiPolynomial.const(TABLE, 1) == 1.0) is False
+    assert (MultiPolynomial.const(TABLE, 1) == 1) is True
+    (key,) = X.terms
+    assert (X * Fraction(1, 2)).terms == {key: Fraction(1, 2)}
+    assert (X * Fraction(4, 2)).terms == {key: 2} and type((X * Fraction(4, 2)).terms[key]) is int
+    assert (X == 0) is False and (MultiPolynomial.zero(TABLE) == 0) is True
+    assert (X * 0).is_zero() and (X * True).terms == X.terms
 
 
 def test_non_divisible_pairs_raise():

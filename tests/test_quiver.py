@@ -67,7 +67,7 @@ def test_compact_form_parses_like_the_regex_parser():
     assert parsed > 500 and failed > 500, (parsed, failed)
 
 
-@pytest.mark.parametrize("bad", ["", "1->3", "2->3", "1=>2", "1->1", "R,Q", "1->"])
+@pytest.mark.parametrize("bad", ["", "1->3", "2->3", "1=>2", "1->1", "R,Q", "1->", "1->\uff12", "\uff11<-2", "1->\u0662"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(QuiverParseError):
         parse_quiver(bad)
@@ -159,6 +159,10 @@ def test_dim_vector_validation():
         DimVector((1, 0, 2))
     assert DimVector.parse("2,5,6,6,2").entries == (2, 5, 6, 6, 2)
     assert DimVector.parse("3,1").at(1) == 3
+    assert DimVector.parse(" 2 ,\t5").entries == (2, 5)
+    for bad in ("+1", " +1,2", "1_0", "\uff11", "2,\u0662", "2,-1", "-1", "1 2", ""):
+        with pytest.raises(QuiverParseError):
+            DimVector.parse(bad)
 
 
 def test_interval_validation_and_order():
