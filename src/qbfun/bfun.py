@@ -13,6 +13,7 @@ from collections import Counter
 
 from .errors import ShapeError
 from .invariants import InvariantIndex, check_invariant, enumerate_invariants
+from .poly import MultiPolynomial
 from .quiver import DimVector, QuiverA
 from .record import Record, setfield
 
@@ -37,11 +38,16 @@ class LinearForm(Record):
         return (len(support), support, self.constant)
 
     def value(self, s):
-        """The form at s with * and + only: a Fraction at ints and Fractions, a polynomial at polynomials."""
-        if any(isinstance(x, float) for x in s):
-            raise ShapeError("linear forms are evaluated exactly; pass Fractions, not floats")
+        """The form at s with * and + only: a Fraction at ints and Fractions, a polynomial at polynomials.
+
+        Any other value of s, a float, a Decimal or a string among them, raises ShapeError.
+        """
         import fractions  # only the oracle evaluates forms, so only its requests load fractions
 
+        for x in s:
+            if not isinstance(x, (int, fractions.Fraction, MultiPolynomial)):
+                kind = type(x).__name__
+                raise ShapeError(f"linear forms are evaluated exactly; pass ints, Fractions or polynomials, not {kind}")
         return sum((c * x for c, x in zip(self.coeffs, s) if c), fractions.Fraction(self.constant))
 
     def label_text(self) -> str:

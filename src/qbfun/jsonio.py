@@ -68,7 +68,7 @@ def dumps(data) -> str:
     document leaves no cyclic garbage behind.
     """
     out = []
-    _write(data, "\n", out.append)
+    _write(data, 0, out.append)
     return "".join(out)
 
 
@@ -92,47 +92,63 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write(o, newline, put):
-    """Append o's text to put; one level in starts a line with newline plus two spaces.
+def _level(depth: int) -> tuple:
+    """(separator, opener, closer) of a dict and of a list at depth.
+
+    The separator and the opener end in the line start of an item, two
+    spaces in from the container's own.
+    """
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return ("," + inner, "{" + inner, outer + "}"), ("," + inner, "[" + inner, outer + "]")
+
+
+# _level of each depth the CLI's documents reach (the deepest is 6); a deeper container builds its own.
+_LEVELS = tuple(map(_level, range(8)))
+
+
+def _write(o, depth, put):
+    """Append the text of o, a value at nesting depth, to put.
 
     Containers write their scalar items inline, and a list of plain ints
     in one join.
     """
-    if isinstance(o, dict):
+    kind = type(o)
+    if kind is dict or kind is not list and kind is not tuple and isinstance(o, dict):
         if not o:
             put("{}")
             return
-        inner = newline + "  "
-        sep = "{" + inner
+        sep, start, close = (_LEVELS[depth] if depth < len(_LEVELS) else _level(depth))[0]
+        depth += 1
         for k, v in o.items():
-            if not isinstance(k, str):
+            if type(k) is not str and not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
             write = _SCALARS.get(type(v))
             if write is None:
-                put(sep + encode_basestring_ascii(k) + ": ")
-                _write(v, inner, put)
+                put(start + encode_basestring_ascii(k) + ": ")
+                _write(v, depth, put)
             else:
-                put(sep + encode_basestring_ascii(k) + ": " + write(v))
-            sep = "," + inner
-        put(newline + "}")
-    elif isinstance(o, (list, tuple)):
+                put(start + encode_basestring_ascii(k) + ": " + write(v))
+            start = sep
+        put(close)
+    elif kind is list or kind is tuple or isinstance(o, (list, tuple)):
         if not o:
             put("[]")
             return
-        inner = newline + "  "
+        sep, start, close = (_LEVELS[depth] if depth < len(_LEVELS) else _level(depth))[1]
         if type(o[0]) is int and all(type(x) is int for x in o):
-            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + newline + "]")
+            put(start + sep.join(map(int.__repr__, o)) + close)
             return
-        sep = "[" + inner
+        depth += 1
         for x in o:
             write = _SCALARS.get(type(x))
             if write is None:
-                put(sep)
-                _write(x, inner, put)
+                put(start)
+                _write(x, depth, put)
             else:
-                put(sep + write(x))
-            sep = "," + inner
-        put(newline + "]")
+                put(start + write(x))
+            start = sep
+        put(close)
     else:
         put(_scalar(o))
 

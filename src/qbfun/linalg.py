@@ -3,9 +3,12 @@
 Matrices are immutable tuples of row tuples.  One fraction-free
 elimination on sparse rows {column: entry} is behind rank, det and
 inverse: integer inputs stay integer all the way through, and rational
-rows are lifted to integers by clearing their denominators.  Only
-inverse, and det at a non-integral value, build Fractions: they import
-fractions in their bodies, so importing this module does not load it.
+rows are lifted to integers by clearing their denominators.  The inverse
+comes as an integer matrix and one integer scale (scaled_inverse), so
+callers that only sum its entries stay in ints; only inverse, which
+divides by the scale, and det at a non-integral value build Fractions:
+they import fractions in their bodies, so importing this module does not
+load it.
 """
 
 from __future__ import annotations
@@ -163,12 +166,13 @@ def det(a):
     return fractions.Fraction(top, num)
 
 
-def inverse(a):
-    """Exact inverse with Fraction entries, by elimination of the rows of [a | I].
+def scaled_inverse(a):
+    """(L, W) with W = L * a^-1 an integer matrix, by elimination of the rows of [a | I].
 
     a is singular exactly when some pivot leads in a column of I.
     Otherwise back-substitution from the last pivot up leaves pivot i as
-    c * (e_i | row i of the inverse) for some c.
+    c_i * (e_i | row i of the inverse) for some integer c_i; L is the
+    positive lcm of the c_i.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -179,6 +183,15 @@ def inverse(a):
     for i in reversed(range(n)):
         for k in [k for k in pivots[i] if i < k < n]:
             _step(pivots[i], pivots[k], k)
+    scale = lcm(*(pivots[i][i] for i in range(n)))
+    return scale, tuple(
+        tuple([pivots[i].get(n + k, 0) * (scale // pivots[i][i]) for k in range(n)]) for i in range(n)
+    )
+
+
+def inverse(a):
+    """Exact inverse with Fraction entries: W / L for (L, W) = scaled_inverse(a)."""
+    scale, scaled = scaled_inverse(a)
     import fractions
 
-    return tuple(tuple(fractions.Fraction(pivots[i].get(n + k, 0), pivots[i][i]) for k in range(n)) for i in range(n))
+    return tuple(tuple([fractions.Fraction(x, scale) for x in row]) for row in scaled)

@@ -6,7 +6,13 @@ dual invariant in the paired variables), and extracts the b-function
 from the resulting identity.  Also differentiates invariants exactly at
 the generic point to verify the gradient-log and a-function
 descriptions.  Everything is exact rational arithmetic with hard term
-budgets.
+budgets, on ints wherever the values are integral: the layer walk sums
+poly's term dicts, the b-function is factored with % and //, and the
+gradient contracts the integer-scaled inverse.  Fractions are built only
+where a value may not be integral: a layer's beta (``ratio``), the
+several-variable constant and the engine's bracket product of
+``apply_bernstein_multi``, the gradient's entries divided by the scale
+once each, and the linear forms of the a-function check.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import (
     ShapeError,
 )
 from .invariants import MatrixRep, assemble, block_spec, enumerate_invariants, evaluate_invariant
-from .poly import Accumulator, MultiPolynomial, VarTable
+from .poly import Accumulator, MultiPolynomial, VarTable, add_derivative, add_product, freeze, settle, term_items
 from .quiver import DimVector, QuiverA, parse_ints
 from .record import Record, setfield
 
@@ -192,13 +198,11 @@ def _factor_b(coeffs: dict, expected_degree: int):
     deg = max(coeffs)
     if deg != expected_degree:
         raise OracleIdentityError(f"b-function degree {deg}, expected {expected_degree}")
-    import fractions
-
-    lead = fractions.Fraction(coeffs[deg])
-    monic = [coeffs.get(k, 0) / lead for k in range(deg + 1)]
-    if any(c.denominator != 1 for c in monic):
+    lead = coeffs[deg]
+    # % and // work alike on ints and Fractions, and // of two Fractions is an int
+    if any(coeffs.get(k, 0) % lead for k in range(deg)):
         raise OracleIdentityError("monic b-function has non-integer coefficients")
-    poly = [int(c) for c in monic]  # poly[k] = coefficient of s^k
+    poly = [coeffs.get(k, 0) // lead for k in range(deg + 1)]  # poly[k] = coefficient of s^k
     constants = Counter()
     for _ in range(deg):
         a0 = poly[0]
@@ -228,9 +232,10 @@ def _factor_b(coeffs: dict, expected_degree: int):
 
 
 class BernsteinResult(Record):
-    __slots__ = ("b", "constant")  # constant: scalar by which the raw identity differs from monic
+    # constant: the scalar by which the raw identity differs from monic, an int when integral
+    __slots__ = ("b", "constant")
 
-    def __init__(self, b: FactoredBFunction, constant: Fraction):
+    def __init__(self, b: FactoredBFunction, constant):
         setfield(self, "b", b)
         setfield(self, "constant", constant)
 
@@ -241,20 +246,6 @@ def _falling(m: int, k: int) -> tuple:
     for j in range(k):
         coeffs = [(m - j) * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     return tuple(coeffs)
-
-
-class _NodeSum:
-    """The partial sum of layers at one node of the operator's monomial trie.
-
-    ``size`` is its state size, sum_k held(Q_k) |FF_k|, kept up to date
-    product by product.
-    """
-
-    __slots__ = ("layers", "size")
-
-    def __init__(self):
-        self.layers = {}  # k-vector -> Accumulator of Q_k
-        self.size = 0
 
 
 def _operator_layers(operator, fs, m, budget):
@@ -274,71 +265,68 @@ def _operator_layers(operator, fs, m, budget):
     the derivatives after the node applied to prod_i f_i^{s_i + m_i}.  A
     leaf adds its coefficient to layer 0 of its node; a node that is left
     is differentiated once by its last variable into its parent's sum.
-    The root's sum is the result.  A state is the sum at one node, counted
-    as sum_k |Q_k| |FF_k| (the size of the same sum with s in the ring),
-    with |Q_k| the keys its accumulator holds; the state-terms budget is
-    checked after each term of every product into it.
+    The root's sum is the result.
+
+    A node is [layers, size]: one term dict per layer (poly's term dicts,
+    which keep cancelled keys) and its state size sum_k |Q_k| |FF_k| (the
+    size of the same sum with s in the ring), with |Q_k| the keys of its
+    dict.  The state-terms budget is checked after each term of every
+    product into it.
     """
     l = len(fs)
     table = operator.table
-    one = MultiPolynomial.const(table, 1)
-    df_cache = {}
-    weights = {}
+    limit = budget.state_terms
+    one = term_items(MultiPolynomial.const(table, 1))
+    df_items = {}  # (i, v) -> the terms of df_i/dx_v
+    weights = {}  # k-vector -> |FF_k|
 
-    def df(i, v):
-        if (i, v) not in df_cache:
-            df_cache[(i, v)] = fs[i].derivative(v)
-        return df_cache[(i, v)]
-
-    def weight(kvec):
-        """|FF_k|: the falling factorials are in distinct s_i, so their term counts multiply."""
-        if kvec not in weights:
-            weights[kvec] = prod(sum(1 for c in _falling(mi, ki) if c) for mi, ki in zip(m, kvec))
-        return weights[kvec]
-
-    def add(node, kvec, a, b):
-        """Add a * b to layer kvec of node, within the state-terms budget."""
-        acc = node.layers.get(kvec)
-        if acc is None:
-            acc = node.layers[kvec] = Accumulator(table)
-        w = weight(kvec)
-        rest = node.size - acc.held() * w
+    def add(node, kvec, kernel, *args):
+        """Sum kernel(layer, *args, layer limit) into layer kvec of node, within the state-terms budget."""
+        layers = node[0]
+        out = layers.setdefault(kvec, {})
+        w = weights.get(kvec)
+        if w is None:
+            # the falling factorials are in distinct s_i, so their term counts multiply
+            w = weights[kvec] = prod(sum(1 for c in _falling(mi, ki) if c) for mi, ki in zip(m, kvec))
+        rest = node[1] - len(out) * w
         try:
-            acc.add_product(a, b, (budget.state_terms - rest) // w)
+            kernel(out, *args, (limit - rest) // w)
         except BudgetExceededError as exc:
-            raise BudgetExceededError("state terms", rest + exc.actual * w, budget.state_terms) from None
-        node.size = rest + acc.held() * w
+            raise BudgetExceededError("state terms", rest + exc.actual * w, limit) from None
+        if not out:  # a derivative with no terms: the layer was not there before
+            del layers[kvec]
+        node[1] = rest + len(out) * w
 
-    def leave(node, v, parent):
-        """Add d/dx_v of node's finished sum into parent."""
-        for kvec, acc in node.layers.items():
-            Q = acc.result()
+    def leave(layers, v, parent):
+        """Add d/dx_v of a finished sum's layers into parent."""
+        for kvec, Q in layers.items():
+            Q = settle(table, Q)
             if not Q:
                 continue
-            dQ = Q.derivative(v)
-            if dQ:
-                add(parent, kvec, dQ, one)
+            add(parent, kvec, add_derivative, table, Q, v)
             for i in range(l):
-                if df(i, v):
-                    add(parent, kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], Q, df(i, v))
+                right = df_items.get((i, v))
+                if right is None:
+                    right = df_items[(i, v)] = term_items(fs[i].derivative(v))
+                if right:
+                    add(parent, kvec[:i] + (kvec[i] + 1,) + kvec[i + 1:], add_product, Q.items(), right)
 
     base = (0,) * l
-    path, sums = [], [_NodeSum()]
+    path, sums = [], [[{}, 0]]
     for exp, coef in operator.monomials():
         seq = [v for v, e in enumerate(exp) for _ in range(e)]
         shared = 0
         while shared < min(len(path), len(seq)) and path[shared] == seq[shared]:
             shared += 1
         while len(path) > shared:
-            leave(sums.pop(), path.pop(), sums[-1])
+            leave(sums.pop()[0], path.pop(), sums[-1])
         for v in seq[shared:]:
             path.append(v)
-            sums.append(_NodeSum())
-        add(sums[-1], base, MultiPolynomial.const(table, coef), one)
+            sums.append([{}, 0])
+        add(sums[-1], base, add_product, term_items(MultiPolynomial.const(table, coef)), one)
     while path:
-        leave(sums.pop(), path.pop(), sums[-1])
-    layers = {kvec: acc.result() for kvec, acc in sums[0].layers.items()}
-    return {kvec: Q for kvec, Q in layers.items() if Q}
+        leave(sums.pop()[0], path.pop(), sums[-1])
+    return {kvec: Q for kvec, terms in sums[0][0].items() if (Q := freeze(table, terms))}
 
 
 def _bernstein_b(operator, fs, m, budget) -> dict:
@@ -485,19 +473,17 @@ def grad_log_invariant(q, n, idx):
     Differentiates the block determinant by the chain rule: the entries
     are path products, so the derivative in one edge entry contracts the
     inverse of the block matrix with the partial products on both sides.
-    Returns one Fraction matrix per edge, shaped like the edge matrices.
+    The contractions run on the integer matrix L * inverse
+    (linalg.scaled_inverse) and each entry is divided by L once, at the
+    end.  Returns one Fraction matrix per edge, shaped like the edge
+    matrices.
     """
     spec = block_spec(q, n, idx)
     rep = generic_point(q, n)
-    y_inv = linalg.inverse(assemble(spec, rep))
+    scale, y_inv = linalg.scaled_inverse(assemble(spec, rep))
     dims = rep.dims
     row_off, col_off = spec.offsets(dims)
-    import fractions
-
-    grads = [
-        [[fractions.Fraction(0)] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])]
-        for a in q.edges()
-    ]
+    grads = [[[0] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])] for a in q.edges()]
     for (sigma, tau), path in spec.entries.items():
         mats = [rep.matrix(e) for e in path]
         pre = [linalg.identity(dims[sigma - 1])]
@@ -519,7 +505,9 @@ def grad_log_invariant(q, n, idx):
             for jj in range(len(m_mat)):
                 for kk in range(len(m_mat[0])):
                     g[kk][jj] += m_mat[jj][kk]
-    return tuple(linalg.mat(g) for g in grads)
+    import fractions
+
+    return tuple(linalg.mat([[fractions.Fraction(x, scale) for x in row] for row in g]) for g in grads)
 
 
 class GradLogVerdict(Record):

@@ -12,10 +12,12 @@ Coefficients are ints where integral, else Fractions: from exact division,
 from ``ratio``'s beta, and from a product or sum with a Fraction, such as
 ``engine * constant`` in oracle.apply_bernstein_multi.  Only this module
 reads the key format: other modules go through ``monomials`` and
-``from_monomials``.  Every product and every sum of products runs through
-one in-place loop, ``_add_product``; ``Accumulator`` offers it to other
-modules.  A scalar is any ``numbers.Rational`` (ints and Fractions, not
-floats or Decimals).  Only the oracle uses this module, so the scalar
+``from_monomials``, or hold term dicts that they pass back to this
+module's term-dict functions without reading a key.  Every product and
+every sum of products runs through one in-place loop, ``add_product``,
+and every derivative through ``add_derivative``; ``Accumulator`` offers
+the first to other modules.  A scalar is any ``numbers.Rational`` (ints
+and Fractions, not floats or Decimals).  Only the oracle uses this module, so the scalar
 tests import numbers, the functions that build a Fraction import
 fractions, and exact_div imports heapq, each in its body: importing this
 module loads none of them.  The bodies write ``import fractions``, not
@@ -209,8 +211,8 @@ class MultiPolynomial:
         if isinstance(other, MultiPolynomial):
             other = self._coerce(other)
             out = {}
-            _add_product(out, self.terms, other.terms)
-            return _freeze(self.table, out)
+            add_product(out, self.terms.items(), term_items(other))
+            return freeze(self.table, out)
         import numbers
 
         if isinstance(other, numbers.Rational):
@@ -237,13 +239,8 @@ class MultiPolynomial:
         return result
 
     def derivative(self, var_index: int):
-        shift = self.table.shifts[var_index]
-        unit = 1 << shift
         out = {}
-        for e, c in self.terms.items():
-            k = (e >> shift) & FIELD_MASK
-            if k:
-                out[e - unit] = c * k  # distinct monomials stay distinct
+        add_derivative(out, self.table, self.terms, var_index)
         return MultiPolynomial._make(self.table, out)
 
     def eval_at(self, values) -> Fraction:
@@ -383,7 +380,7 @@ class Accumulator:
         table = self.table
         if a.table is not table and a.table != table or b.table is not table and b.table != table:
             raise ShapeError("polynomials from different variable tables")
-        _add_product(self._terms, a.terms, b.terms, limit)
+        add_product(self._terms, a.terms.items(), term_items(b), limit)
 
     def held(self):
         """The number of keys summed so far, cancelled ones included."""
@@ -396,17 +393,28 @@ class Accumulator:
     def result(self) -> MultiPolynomial:
         """The sum as a polynomial; the accumulator starts over empty."""
         out, self._terms = self._terms, {}
-        return _freeze(self.table, out)
+        return freeze(self.table, out)
 
 
-def _add_product(out, left, right, limit=None):
-    """Add the product of two term dicts into ``out``, in place.
+# -- term dicts ---------------------------------------------------------------
+# A term dict maps packed keys to coefficients, and a sum built in it keeps
+# the keys that cancelled to zero, so its length bounds its terms from above.
+# oracle._operator_layers sums its layers in plain term dicts through the
+# functions below: it counts their keys and never reads one.
 
-    Past ``limit`` keys in ``out`` it raises after the current left term.
+def term_items(poly: MultiPolynomial) -> list:
+    """The (key, coefficient) pairs of poly, a right factor for add_product."""
+    return list(poly.terms.items())
+
+
+def add_product(out, left, right, limit=None):
+    """Add the product of two (key, coefficient) pair sequences into the term dict ``out``.
+
+    ``right`` is read once per left term, so it must be a list.  Past
+    ``limit`` keys in ``out`` it raises after the current left term.
     """
     get = out.get
-    right = list(right.items())
-    for e1, c1 in left.items():
+    for e1, c1 in left:
         for e2, c2 in right:
             key = e1 + e2
             out[key] = get(key, 0) + c1 * c2
@@ -414,12 +422,35 @@ def _add_product(out, left, right, limit=None):
             raise BudgetExceededError("state terms", len(out), limit)
 
 
-def _freeze(table, out) -> MultiPolynomial:
-    """Wrap a sum of products whose dict still holds every key summed.
+def add_derivative(out, table: VarTable, terms, var_index: int, limit=None):
+    """Add d/dx of the term dict ``terms`` into ``out``, x the variable var_index of table.
 
-    Cancelled keys included, so the guard-bit check sees them all.
+    Past ``limit`` keys in ``out`` it raises after the current term.  The
+    derivative of a nonzero key lies below it, so no key reaches a guard bit.
+    """
+    shift = table.shifts[var_index]
+    unit = 1 << shift
+    get = out.get
+    for e, c in terms.items():
+        k = (e >> shift) & FIELD_MASK
+        if k:
+            key = e - unit
+            out[key] = get(key, 0) + c * k
+            if limit is not None and len(out) > limit:
+                raise BudgetExceededError("state terms", len(out), limit)
+
+
+def settle(table: VarTable, out) -> dict:
+    """The term dict ``out`` without its cancelled keys, after it passes the guard-bit check.
+
+    ``out`` must still hold every key summed into it.
     """
     table._check_guard(out)
     if 0 in out.values():
         out = {e: c for e, c in out.items() if c}
-    return MultiPolynomial._make(table, out)
+    return out
+
+
+def freeze(table: VarTable, out) -> MultiPolynomial:
+    """The polynomial of a term dict that still holds every key summed into it."""
+    return MultiPolynomial._make(table, settle(table, out))

@@ -72,9 +72,10 @@ _LETTERS = {"R": RIGHT, "r": RIGHT, "L": LEFT, "l": LEFT}
 def parse_quiver(text: str) -> QuiverA:
     """Parse either arrow form ("1->2<-3") or compact form ("R,L").
 
-    The arrow form must list vertices 1..r in order, in ASCII digits.  The
-    compact form gives one letter per edge, R for rightward and L for
-    leftward.  Blanks may stand around every letter, arrow and number.
+    The arrow form must list vertices 1..r in order, in ASCII digits, with
+    one arrow between each two.  The compact form gives one letter per
+    edge, R for rightward and L for leftward.  Blanks may stand around
+    every letter, arrow and number.
     """
     text = text.strip()
     if not text:
@@ -92,8 +93,12 @@ def parse_quiver(text: str) -> QuiverA:
         if pos % 2 == 0:
             if not tok.isdigit() or int(tok) != pos // 2 + 1:
                 raise QuiverParseError(f"vertices must be numbered 1..r in order, got {tok!r}")
+        elif tok == "->":
+            dirs.append(RIGHT)
+        elif tok == "<-":
+            dirs.append(LEFT)
         else:
-            dirs.append(RIGHT if tok == "->" else LEFT)
+            raise QuiverParseError(f"expected -> or <- after vertex {pos // 2 + 1}, got {tok!r}")
     return QuiverA(len(dirs) + 1, tuple(dirs))
 
 

@@ -27,6 +27,15 @@ column, the 0/1 interval vectors and interval representations, the
 independent side of the slice-dimension identity), the character
 exponents of an invariant, and the paper's alternating sums ``nbar``,
 which read the segment indices alpha and beta off ``segment_indices``.
+
+``parse_quiver`` keeps the regex parser's body but for one rule, which
+the library shares: a token at an arrow position that is not an arrow is
+refused.
+
+``grad_log_invariant`` is the oracle's gradient-log contraction on the
+Fraction entries of ``linalg.inverse``, kept with the body it had before
+``qbfun.oracle.grad_log_invariant`` moved onto the integer matrix of
+``linalg.scaled_inverse``.
 """
 
 from __future__ import annotations
@@ -41,8 +50,9 @@ from qbfun.bfun import FactoredBFunction, FSet, LinearForm
 from qbfun.cli import _COMMANDS, _EXIT_CODES, build_parser
 from qbfun.diagrams import LaceDiagram, Strand
 from qbfun.errors import DiagnosticError, QuiverParseError, ShapeError
-from qbfun.invariants import InvariantIndex, MatrixRep, block_structure, check_invariant
+from qbfun.invariants import InvariantIndex, MatrixRep, assemble, block_spec, block_structure, check_invariant
 from qbfun.jsonio import _form_to_json
+from qbfun.oracle import generic_point
 from qbfun.poly import MultiPolynomial, VarTable
 from qbfun.quiver import LEFT, RIGHT, DimVector, Interval, QuiverA, check_dims, sinks_sources
 from qbfun.record import setfield
@@ -155,8 +165,9 @@ def cli_main(argv=None) -> int:
 def parse_quiver(text: str) -> QuiverA:
     """Parse either arrow form ("1->2<-3") or compact form ("R,L").
 
-    The arrow form must list vertices 1..r in order.  The compact form
-    gives one letter per edge, R for rightward and L for leftward.
+    The arrow form must list vertices 1..r in order, with one arrow between
+    each two.  The compact form gives one letter per edge, R for rightward
+    and L for leftward.
     """
     text = text.strip()
     if not text:
@@ -175,8 +186,10 @@ def parse_quiver(text: str) -> QuiverA:
         if pos % 2 == 0:
             if not tok.isdigit() or int(tok) != pos // 2 + 1:
                 raise QuiverParseError(f"vertices must be numbered 1..r in order, got {tok!r}")
-        else:
+        elif tok == "->" or tok == "<-":
             dirs.append(RIGHT if tok == "->" else LEFT)
+        else:
+            raise QuiverParseError(f"expected -> or <- after vertex {pos // 2 + 1}, got {tok!r}")
     return QuiverA(len(dirs) + 1, tuple(dirs))
 
 
@@ -418,3 +431,46 @@ def nbar(q: QuiverA, n: DimVector, idx: InvariantIndex, kappa: int) -> int:
     nu = sinks_sources(q)
     vertices = (*nu[alpha + kappa : alpha - 1 : -1], idx.p)  # nu(alpha+kappa), ..., nu(alpha), p
     return sum(n.at(v) * (-1) ** k for k, v in enumerate(vertices))
+
+
+def grad_log_invariant(q, n, idx):
+    """Exact value of grad log f_{(p,q)} at the generic point.
+
+    Differentiates the block determinant by the chain rule: the entries
+    are path products, so the derivative in one edge entry contracts the
+    inverse of the block matrix with the partial products on both sides.
+    Returns one Fraction matrix per edge, shaped like the edge matrices.
+    """
+    spec = block_spec(q, n, idx)
+    rep = generic_point(q, n)
+    y_inv = linalg.inverse(assemble(spec, rep))
+    dims = rep.dims
+    row_off, col_off = spec.offsets(dims)
+    import fractions
+
+    grads = [
+        [[fractions.Fraction(0)] * dims[q.tail(a) - 1] for _ in range(dims[q.head(a) - 1])]
+        for a in q.edges()
+    ]
+    for (sigma, tau), path in spec.entries.items():
+        mats = [rep.matrix(e) for e in path]
+        pre = [linalg.identity(dims[sigma - 1])]
+        for mmat in mats:
+            pre.append(linalg.mat_mul(pre[-1], mmat))
+        suf = [None] * (len(mats) + 1)
+        suf[len(mats)] = linalg.identity(dims[tau - 1])
+        for t in range(len(mats) - 1, -1, -1):
+            suf[t] = linalg.mat_mul(mats[t], suf[t + 1])
+        w = tuple(
+            tuple(y_inv[col_off[tau] + i][row_off[sigma] + j] for j in range(dims[sigma - 1]))
+            for i in range(dims[tau - 1])
+        )
+        for t, e in enumerate(path):
+            left = pre[t]  # sink space x head(e) space
+            right = suf[t + 1]  # tail(e) space x source space
+            m_mat = linalg.mat_mul(linalg.mat_mul(right, w), left)
+            g = grads[e - 1]
+            for jj in range(len(m_mat)):
+                for kk in range(len(m_mat[0])):
+                    g[kk][jj] += m_mat[jj][kk]
+    return tuple(linalg.mat(g) for g in grads)

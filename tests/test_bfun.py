@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,14 @@ def test_linear_form_value_is_exact():
             form.value(s)
     with pytest.raises(ShapeError):
         evaluate_bracket_product(multi(1, ((1,), 1, 1)), (2,), (0.5,))
+
+
+@pytest.mark.parametrize("inexact", [0.5, Decimal("0.5"), "2", 1j, None])
+def test_linear_form_value_refuses_every_inexact_scalar_alike(inexact):
+    """Only ints, Fractions and polynomials: a float, a Decimal and a str meet the same ShapeError."""
+    for form in (LinearForm((1,), 2), LinearForm((0, 1), 2)):
+        with pytest.raises(ShapeError, match="evaluated exactly"):
+            form.value((inexact,) * len(form.coeffs))
 
 
 def test_bracket_specialization_matches_one_variable():

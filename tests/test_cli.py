@@ -358,7 +358,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_html():
 SMALL_BUDGETS = ("1", "5,5", "1,20000,6", "200,20000,6")
 JUNK = ("", " ", "x", "-1", "0", "1,", ",1", "1,,2", "1.5", "1e3", "0x10", "nan", "--", "\uff11,\uff12", "\x00", "1;2", "[1,2]", "1 2", "+1", "1_0", "1,+2")
 OPTION_JUNK = {
-    "--quiver": ("1->", "->2", "1->2->", "1=>2", "2->1", "1->3", "1<->2", "R,L,X", "R,,L", "1-2", "1->2<-3->"),
+    "--quiver": ("1->", "->2", "1->2->", "1=>2", "2->1", "1->3", "1<->2", "R,L,X", "R,,L", "1-2", "1->2<-3->", "1 2 2", "1->2 3 3"),
     "--dims": ("1,2,-1", "0,0", "2,5,7,4,2", "9"),
     "--pq": ("1", "1,2,3", "2,1", "0,1", "1,1", "1,99", "99999999999999999999,1"),
     "--budget": ("0", "-5", "1,2,3,4", "abc", *SMALL_BUDGETS),
@@ -611,6 +611,15 @@ def test_signs_underscores_and_wide_digits_are_input_errors(capsys):
         assert code == 2 and captured.out == "" and _one_error_line(captured.err), argv
     assert cli_main(["bfun", "--quiver", " R ", "--dims", " 2 , 2 ", "--pq", " 1, 2"]) == 0
     assert '"pq"' in capsys.readouterr().out
+
+
+def test_a_number_where_an_arrow_belongs_is_an_input_error(capsys):
+    """The arrow form alternates vertex and arrow: a number at an arrow position exits 2 with one error line."""
+    for quiver, dims in (("1 2 2", "2,2"), ("1->2 3 3", "2,2,2"), ("1 3 2", "2,2")):
+        code = cli_main(["bfun", "--quiver", quiver, "--dims", dims, "--pq", "1,2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and _one_error_line(captured.err), quiver
+        assert "expected -> or <-" in captured.err
 
 
 def test_dimension_sum_above_the_limit_is_an_input_error(capsys):

@@ -319,6 +319,14 @@ class Level(enum.IntEnum):
     LOW = 1
 
 
+def nested(depth):
+    """A list nested depth levels deep; the levels alternate a scalar and a dict beside the inner list."""
+    data = [1, "leaf"]
+    for d in range(depth - 1):
+        data = [data, d] if d % 2 else [{"k": [d]}, data]
+    return data
+
+
 EDGE_DOCUMENTS = [
     [],
     {},
@@ -338,6 +346,8 @@ EDGE_DOCUMENTS = [
     # subclasses of str and int are written as their base types
     [Name('sub"class'), Level.LOW, {"k": Level.LOW, Name("s"): Name("x")}],
     Level.LOW,
+    # deeper than any document of the CLI
+    nested(200),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Exact rank, determinant and inverse against a plain Fraction Gauss-Jordan reference."""
+"""Exact rank, determinant, inverse and scaled inverse against plain Fraction Gauss-Jordan references."""
 
 import random
 from fractions import Fraction
@@ -48,6 +48,24 @@ def ref_det(a):
     return det
 
 
+def ref_inverse(a):
+    """Gauss-Jordan on the Fraction rows of [a | I]; None if a is singular."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivot_row = [x / rows[col][col] for x in rows[col]]
+        rows[col] = pivot_row
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], pivot_row)]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def random_entry(rng, fractions):
     if rng.random() < 0.5:
         return 0
@@ -76,13 +94,21 @@ def check_against_reference(a):
     assert linalg.rank(a) == ref_rank(a)
     if a and len(a) == len(a[0]):
         assert linalg.det(a) == ref_det(a)
-        if ref_det(a) != 0:
+        want = ref_inverse(a)
+        assert (want is None) == (ref_det(a) == 0)
+        if want is not None:
             inv = linalg.inverse(a)
             assert all(isinstance(x, Fraction) for row in inv for x in row)
             assert linalg.mat_mul(a, inv) == linalg.identity(len(a))
+            assert inv == want
+            scale, scaled = linalg.scaled_inverse(a)
+            assert type(scale) is int and scale > 0
+            assert all(type(x) is int for row in scaled for x in row)
+            assert tuple(tuple(Fraction(x, scale) for x in row) for row in scaled) == want
         else:
-            with pytest.raises(SingularMatrixError):
-                linalg.inverse(a)
+            for call in (linalg.inverse, linalg.scaled_inverse):
+                with pytest.raises(SingularMatrixError):
+                    call(a)
 
 
 @pytest.mark.parametrize("fractions", [False, True])
@@ -168,7 +194,7 @@ def test_rank_keeps_integers_exact():
 
 def test_floats_are_refused_not_rounded():
     """An entry without numerator and denominator (a float) is an error, never read as a nearby rational."""
-    for call in (linalg.rank, linalg.det, linalg.inverse):
+    for call in (linalg.rank, linalg.det, linalg.inverse, linalg.scaled_inverse):
         with pytest.raises(ShapeError):
             call(((1.5, 0), (0, 1)))
 

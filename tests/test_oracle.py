@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from time import perf_counter
@@ -6,7 +7,7 @@ from time import perf_counter
 import pytest
 
 import reference
-from conftest import ALT5, EQUI5, ORACLE_OVER_BUDGET, instance, oracle_family, random_instance
+from conftest import A7, ALT5, EQUI5, ORACLE_OVER_BUDGET, instance, oracle_family, random_instance
 from qbfun import (
     Budget,
     DimVector,
@@ -23,8 +24,9 @@ from qbfun import (
     oracle_b_function,
     parse_quiver,
 )
+from qbfun.bfun import FactoredBFunction
 from qbfun.errors import BudgetExceededError, OracleIdentityError, QuiverParseError
-from qbfun.oracle import MAX_OPERATOR_DEGREE, _bernstein_b, apply_bernstein, grad_log_invariant, variable_table
+from qbfun.oracle import MAX_OPERATOR_DEGREE, _bernstein_b, _factor_b, apply_bernstein, grad_log_invariant, variable_table
 from qbfun.poly import MultiPolynomial, VarTable
 
 
@@ -193,6 +195,34 @@ def test_grad_log_check_random():
         q, n, invs = random_instance(rng, rmax=6, nmax=5)
         for idx in invs:
             assert grad_log_check(q, n, idx).ok
+
+
+def test_grad_log_in_ints_matches_the_fraction_inverse_route():
+    """Every invariant of the criterion-5 family and of the worked examples: the same Fraction matrices."""
+    instances = oracle_family() + [instance(text, dims) for text, dims in (EQUI5, ALT5, A7)]
+    checked = 0
+    for q, n in instances:
+        for idx in enumerate_invariants(q, n):
+            got = grad_log_invariant(q, n, idx)
+            assert got == reference.grad_log_invariant(q, n, idx), (q, n, idx)
+            assert all(type(x) is Fraction for g in got for row in g for x in row)
+            checked += 1
+    assert checked > 900
+
+
+def test_factor_b_reads_ints_and_fractions_alike():
+    """_factor_b divides by the leading coefficient with % and //: a Fraction or negative lead, or a refusal."""
+    b = FactoredBFunction.one_variable(Counter({1: 1, 2: 1}))  # (s+1)(s+2) = s^2 + 3s + 2
+    for lead in (1, 3, -2, Fraction(1, 2), Fraction(-3, 4)):
+        coeffs = {0: 2 * lead, 1: 3 * lead, 2: lead}
+        got, constant = _factor_b(coeffs, 2)
+        assert got == b and constant == lead and type(constant) is type(lead)
+    got, constant = _factor_b({0: Fraction(4), 1: Fraction(6), 2: Fraction(2)}, 2)
+    assert got == b and constant == 2
+    with pytest.raises(OracleIdentityError, match="monic b-function has non-integer coefficients"):
+        _factor_b({0: 2, 1: 3, 2: 2}, 2)
+    with pytest.raises(OracleIdentityError, match="monic b-function has non-integer coefficients"):
+        _factor_b({0: Fraction(1, 3), 1: 1, 2: Fraction(1, 2)}, 2)
 
 
 def test_a_function_check_worked_examples():

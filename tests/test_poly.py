@@ -18,7 +18,7 @@ import pytest
 
 from conftest import constant_value
 from qbfun.errors import BudgetExceededError, DiagnosticError, QbfunError, ShapeError
-from qbfun.poly import MAX_EXPONENT, Accumulator, MultiPolynomial, VarTable
+from qbfun.poly import MAX_EXPONENT, Accumulator, MultiPolynomial, VarTable, add_derivative, add_product, term_items
 
 NAMES = ("x", "y", "z")
 TABLE = VarTable(NAMES)
@@ -406,6 +406,48 @@ def test_accumulator_limit_stops_after_one_left_term():
         acc.add_product(a, b, limit=3)
     assert info.value.what == "state terms"
     assert (info.value.actual, info.value.limit) == (4, 3)
+
+
+# -- the term-dict kernels of the layer walk -------------------------------------------
+
+def random_sum(rng):
+    """A term dict as a sum leaves it: the keys of a random polynomial, some cancelled to zero."""
+    return {e: c if rng.random() < 0.8 else 0 for e, c in packed(random_reference(rng)).terms.items()}
+
+
+def derivative_then_product(out, poly, v, limit):
+    """The layer walk's former route: the derivative as a polynomial, then its product with 1 summed in."""
+    dP = poly.derivative(v)
+    if dP:
+        add_product(out, dP.terms.items(), term_items(MultiPolynomial.const(TABLE, 1)), limit)
+
+
+def outcome(kernel, start, *args):
+    """The sum's (key, coefficient) pairs in order, and the (what, actual, limit) of an abort, if any."""
+    out = dict(start)
+    try:
+        kernel(out, *args)
+    except BudgetExceededError as exc:
+        return list(out.items()), (exc.what, exc.actual, exc.limit)
+    return list(out.items()), None
+
+
+def test_derivative_add_matches_derivative_then_product_with_one():
+    """Same keys in the same order, and under a limit the same abort point and the same actual."""
+    rng = random.Random(78)
+    aborted = 0
+    for _ in range(CASES):
+        poly, start, v = packed(random_reference(rng)), random_sum(rng), rng.randrange(len(NAMES))
+        full = outcome(derivative_then_product, start, poly, v, None)
+        assert outcome(add_derivative, start, TABLE, poly.terms, v, None) == full
+        assert dict(full[0]) == start | {e: start.get(e, 0) + c for e, c in poly.derivative(v).terms.items()}
+        for limit in range(len(start), len(full[0]) + 1):
+            want = outcome(derivative_then_product, start, poly, v, limit)
+            assert outcome(add_derivative, start, TABLE, poly.terms, v, limit) == want
+            if want[1] is not None:
+                assert want[1] == ("state terms", limit + 1, limit)
+                aborted += 1
+    assert aborted > 100
 
 
 def test_tables_with_the_same_names_are_equal():

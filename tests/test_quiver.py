@@ -73,6 +73,14 @@ def test_parse_rejects_garbage(bad):
         parse_quiver(bad)
 
 
+@pytest.mark.parametrize("text,vertex,token", [("1 2 2", 1, "2"), ("1->2 3 3", 2, "3"), ("1 3 2", 1, "3"), ("1<-2->3 4 5", 3, "4")])
+def test_arrow_form_refuses_a_number_at_an_arrow_position(text, vertex, token):
+    """Vertex, arrow, vertex, ...: a number between two vertices is not read as a leftward edge."""
+    with pytest.raises(QuiverParseError, match=f"expected -> or <- after vertex {vertex}, got '{token}'"):
+        parse_quiver(text)
+    assert _parsed(reference.parse_quiver, text) == _parsed(parse_quiver, text)
+
+
 def test_heads_and_tails():
     q = parse_quiver("1->2<-3")
     assert (q.tail(1), q.head(1)) == (1, 2)
